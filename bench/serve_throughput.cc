@@ -81,6 +81,7 @@ struct TraceResult
     double p50ItlUs = 0.0;
     double p99ItlUs = 0.0;
     int64_t peakPages = 0;
+    int64_t peakKvBytes = 0;
     /** Decode replay hit-rate measured after the warmup steps. */
     double warmHitRate = 0.0;
     // Compiler memory-plan report (sampled once at engine build):
@@ -310,6 +311,7 @@ runTrace(const frontend::LlamaConfig& config,
     result.p50ItlUs = itl.count() > 0 ? itl.percentile(0.50) : 0.0;
     result.p99ItlUs = itl.count() > 0 ? itl.percentile(0.99) : 0.0;
     result.peakPages = engine->kv().peakPages();
+    result.peakKvBytes = engine->kv().peakBytes();
     result.planStorages =
         (int64_t)engine->metrics().gauge("plan.storages").last();
     result.planBytes =
@@ -334,7 +336,7 @@ runTrace(const frontend::LlamaConfig& config,
         }
         if (!metrics_path.empty()) {
             std::ofstream os(metrics_path);
-            engine->metrics().snapshotJson(os);
+            engine->snapshotJson(os);
         }
     }
     return result;
@@ -498,8 +500,8 @@ main(int argc, char** argv)
           serve::SchedulePolicy::kShortestPromptFirst}) {
         TraceResult result = runTrace(config, spec, policy, trace);
         const serve::EngineStats& stats = result.stats;
-        if (stats.peakKvBytes > result.kvBudget) {
-            std::cerr << "FAIL: peak KV " << stats.peakKvBytes
+        if (result.peakKvBytes > result.kvBudget) {
+            std::cerr << "FAIL: peak KV " << result.peakKvBytes
                       << " exceeds budget " << result.kvBudget << "\n";
             return 1;
         }
@@ -533,7 +535,7 @@ main(int argc, char** argv)
              std::to_string(stats.steps),
              std::to_string(stats.decodeBatches),
              std::to_string(stats.evictions),
-             TablePrinter::fmt((double)stats.peakKvBytes / (1 << 20),
+             TablePrinter::fmt((double)result.peakKvBytes / (1 << 20),
                                1)});
     }
     table.print();
@@ -638,7 +640,7 @@ main(int argc, char** argv)
                           << fmt3(rate) << "\n";
                 return 1;
             }
-            if (stats.peakKvBytes > result.kvBudget) {
+            if (result.peakKvBytes > result.kvBudget) {
                 std::cerr << "FAIL: speculation peak KV exceeds budget "
                              "at rate "
                           << fmt3(rate) << "\n";

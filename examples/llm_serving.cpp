@@ -72,7 +72,7 @@ main()
               << stats.prefillBatches << " prefill + "
               << stats.decodeBatches << " decode batches, "
               << stats.tokensGenerated << " tokens, peak KV "
-              << stats.peakKvBytes << " bytes ("
+              << engine->kv().peakBytes() << " bytes ("
               << engine->kv().peakPages() << " pool pages)\n";
     std::cout << "automatic prefix caching: " << engine->kv().prefixHits()
               << " hit(s), " << engine->kv().prefixTokensMatched()

@@ -160,11 +160,23 @@ Engine::Engine(vm::ExecutablePtr exec,
     kv_ = std::make_unique<KVCacheManager>(config_, *machine_, budget,
                                            options_.kvBlockTokens,
                                            kv_shards);
-    // One observability spine: the KV manager mirrors its event tallies
-    // into the engine's registry, and the scheduler stamps lifecycle
-    // instants with the device clock + TraceRecorder.
-    kv_->setMetrics(&metrics_);
+    // The scheduler stamps lifecycle instants with the device clock +
+    // TraceRecorder.
     scheduler_.attachDevice(&machine_->dev());
+    meters_.ttftUs = &metrics_.histogram("serve.ttft_us");
+    meters_.itlUs = &metrics_.histogram("serve.itl_us");
+    meters_.usedPages = &metrics_.gauge("kv.used_pages");
+    meters_.freePages = &metrics_.gauge("kv.free_pages");
+    meters_.occupancy = &metrics_.gauge("kv.occupancy");
+    meters_.running = &metrics_.gauge("serve.running");
+    meters_.replayHitRate = &metrics_.gauge("serve.decode_replay_hit_rate");
+    // Per-device memory gauges, one lane per shard (device 0 alone on
+    // single-device engines, matching the trace pid layout).
+    for (int i = 0; i < tensorParallel(); ++i) {
+        std::string prefix = "device." + std::to_string(i) + ".";
+        meters_.deviceAlloc.push_back(&metrics_.gauge(prefix + "alloc_bytes"));
+        meters_.devicePeak.push_back(&metrics_.gauge(prefix + "peak_bytes"));
+    }
 }
 
 std::unique_ptr<Engine>
@@ -244,8 +256,10 @@ Engine::enableSpeculation(vm::ExecutablePtr draft_exec,
     draftKv_ = std::make_unique<KVCacheManager>(
         spec.draftConfig, *draftMachine_, draftPoolBytes(spec, options_),
         options_.kvBlockTokens);
-    draftKv_->setMetrics(&metrics_);
     draftWeights_ = std::move(draft_weights);
+    meters_.specAccepted = &metrics_.histogram("serve.spec_accepted");
+    meters_.specAcceptanceRate =
+        &metrics_.gauge("serve.spec_acceptance_rate");
 }
 
 RequestId
@@ -271,7 +285,6 @@ Engine::addRequest(std::vector<int64_t> prompt, int64_t max_new_tokens,
     seq->stats.arrivalUs =
         arrival_us >= 0 ? arrival_us : machine_->dev().clockUs();
     RequestId id = seq->request.id;
-    metrics_.counter("serve.requests_submitted").add();
     TraceRecorder& trace = machine_->dev().trace();
     if (trace.enabled()) {
         // The request's whole lifetime is one async span keyed by its id
@@ -315,8 +328,7 @@ Engine::appendToken(const SequenceStatePtr& seq, int64_t token)
         // never rebase arrivalUs, so a request preempted before its
         // first token contributes its full queue + retry wait here
         // (engine.h metrics() contract; pinned by test_engine.cc).
-        metrics_.histogram("serve.ttft_us")
-            .record(now - seq->stats.arrivalUs);
+        meters_.ttftUs->record(now - seq->stats.arrivalUs);
         TraceRecorder& trace = machine_->dev().trace();
         if (trace.enabled()) {
             trace.instant(trace_lanes::kEngine, trace_lanes::kRequests,
@@ -327,8 +339,7 @@ Engine::appendToken(const SequenceStatePtr& seq, int64_t token)
     } else {
         // Inter-token gap on the virtual clock; eviction stalls between
         // two tokens land here as real tail latency.
-        metrics_.histogram("serve.itl_us")
-            .record(now - seq->stats.lastTokenUs);
+        meters_.itlUs->record(now - seq->stats.lastTokenUs);
     }
     seq->stats.lastTokenUs = now;
     // Done by budget/stop token, or the cache hit the trained context
@@ -348,8 +359,6 @@ Engine::finishSequence(const SequenceStatePtr& seq)
     running_.erase(std::find(running_.begin(), running_.end(), seq));
     finished_.push_back(seq);
     ++stats_.requestsFinished;
-    stats_.ttftSumUs += seq->stats.ttftUs();
-    metrics_.counter("serve.requests_finished").add();
     TraceRecorder& trace = machine_->dev().trace();
     if (trace.enabled()) {
         trace.asyncEnd(trace_lanes::kEngine, trace_lanes::kRequests,
@@ -363,7 +372,6 @@ Engine::finishSequence(const SequenceStatePtr& seq)
 void
 Engine::evict(const SequenceStatePtr& victim)
 {
-    metrics_.counter("serve.evictions").add();
     TraceRecorder& trace = machine_->dev().trace();
     if (trace.enabled()) {
         trace.instant(trace_lanes::kEngine, trace_lanes::kRequests,
@@ -518,7 +526,6 @@ Engine::proposeDrafts(const std::vector<SequenceStatePtr>& rows,
         invokeRaggedOn(*draftMachine_, *draftKv_, draftWeights_, order,
                        chunks);
         ++stats_.draftCalls;
-        metrics_.counter("serve.draft_calls").add();
         for (size_t i = 0; i < order.size(); ++i) {
             draftKv_->commit(order[i], new_commits[i]);
         }
@@ -551,7 +558,6 @@ Engine::proposeDrafts(const std::vector<SequenceStatePtr>& rows,
         NDArray logits = invokeRaggedOn(*draftMachine_, *draftKv_,
                                         draftWeights_, order, toks);
         ++stats_.draftCalls;
-        metrics_.counter("serve.draft_calls").add();
         for (size_t r = 0; r < order.size(); ++r) {
             SpecPlan& plan = plans[order[r]];
             // One fresh token per row, so row r's logits sit at packed
@@ -692,13 +698,9 @@ Engine::step()
         is_prefill.end();
     if (any_prefill) {
         // Mixed steps move the shape signature (the packed token count
-        // changes), so their graph begins/replays are accounted to the
-        // prefill counters; the steady-state pure-decode counters keep
-        // measuring the replay win.
+        // changes), so only pure-decode steps feed the graph counters
+        // that measure the steady-state replay win.
         ++stats_.prefillBatches;
-        stats_.prefillGraphBegins += machine_->lastRunStats().graphBegins;
-        stats_.prefillGraphReplays +=
-            machine_->lastRunStats().graphReplays;
     } else {
         stats_.decodeGraphBegins += machine_->lastRunStats().graphBegins;
         stats_.decodeGraphReplays +=
@@ -764,10 +766,7 @@ Engine::step()
         }
         stats_.specProposed += k_row;
         stats_.specAccepted += acc.accepted;
-        metrics_.counter("serve.spec_proposed_tokens").add(k_row);
-        metrics_.counter("serve.spec_accepted_tokens").add(acc.accepted);
-        metrics_.histogram("serve.spec_accepted").record(
-            (double)acc.accepted);
+        meters_.specAccepted->record((double)acc.accepted);
         for (int64_t i = 0;
              i <= acc.accepted && seq->phase == RequestPhase::kRunning;
              ++i) {
@@ -796,35 +795,24 @@ Engine::step()
 
     ++stats_.steps;
     stats_.busyUs += machine_->dev().clockUs() - clock_before;
-    stats_.peakKvBytes = std::max(stats_.peakKvBytes, kv_->peakBytes());
 
-    // Per-step registry sampling (always on: the counters feed the fuzz
-    // oracle's cross-checks, the gauges the BENCH_serve.json snapshot).
-    metrics_.counter("serve.steps").add();
-    metrics_.counter("serve.decode_calls").add();
-    metrics_.gauge("kv.used_pages").sample((double)kv_->usedPages());
-    metrics_.gauge("kv.free_pages").sample((double)kv_->freePages());
-    metrics_.gauge("kv.occupancy")
-        .sample(kv_->totalPages() > 0 ? (double)kv_->usedPages() /
-                                            (double)kv_->totalPages()
-                                      : 0.0);
-    metrics_.gauge("serve.running").sample((double)running_.size());
-    metrics_.gauge("serve.decode_replay_hit_rate")
-        .sample(stats_.decodeReplayHitRate());
-    // Per-device memory gauges, one lane per shard (device 0 alone on
-    // single-device engines, matching the trace pid layout).
+    // Per-step gauge sampling (always on: the metrics snapshot).
+    meters_.usedPages->sample((double)kv_->usedPages());
+    meters_.freePages->sample((double)kv_->freePages());
+    meters_.occupancy->sample(kv_->totalPages() > 0
+                                  ? (double)kv_->usedPages() /
+                                        (double)kv_->totalPages()
+                                  : 0.0);
+    meters_.running->sample((double)running_.size());
+    meters_.replayHitRate->sample(stats_.decodeReplayHitRate());
     for (int i = 0; i < tensorParallel(); ++i) {
         device::SimDevice& dev =
             group_ ? group_->device(i) : machine_->dev();
-        std::string prefix = "device." + std::to_string(i) + ".";
-        metrics_.gauge(prefix + "alloc_bytes")
-            .sample((double)dev.allocatedBytes());
-        metrics_.gauge(prefix + "peak_bytes")
-            .sample((double)dev.peakBytes());
+        meters_.deviceAlloc[i]->sample((double)dev.allocatedBytes());
+        meters_.devicePeak[i]->sample((double)dev.peakBytes());
     }
     if (speculationEnabled()) {
-        metrics_.gauge("serve.spec_acceptance_rate")
-            .sample(stats_.specAcceptanceRate());
+        meters_.specAcceptanceRate->sample(stats_.specAcceptanceRate());
     }
 
     if (trace.enabled()) {
@@ -854,6 +842,32 @@ Engine::run()
         }
     }
     return stats_;
+}
+
+void
+Engine::snapshotJson(std::ostream& os) const
+{
+    // Counters are read from their only store at export time.
+    auto kv_sum = [this](int64_t (KVCacheManager::*tally)() const) {
+        int64_t sum = ((*kv_).*tally)();
+        return draftKv_ ? sum + ((*draftKv_).*tally)() : sum;
+    };
+    std::map<std::string, int64_t> counters = {
+        {"kv.cow_copies", kv_sum(&KVCacheManager::cowCopies)},
+        {"kv.prefix_hits", kv_sum(&KVCacheManager::prefixHits)},
+        {"kv.prefix_tokens_matched",
+         kv_sum(&KVCacheManager::prefixTokensMatched)},
+        {"kv.truncates", kv_sum(&KVCacheManager::truncateCount)},
+        {"serve.decode_calls", stats_.decodeBatches},
+        {"serve.draft_calls", stats_.draftCalls},
+        {"serve.evictions", stats_.evictions},
+        {"serve.requests_finished", stats_.requestsFinished},
+        {"serve.requests_submitted", nextId_},
+        {"serve.spec_accepted_tokens", stats_.specAccepted},
+        {"serve.spec_proposed_tokens", stats_.specProposed},
+        {"serve.steps", stats_.steps},
+    };
+    metrics_.snapshotJson(os, counters);
 }
 
 std::vector<FinishedRequest>

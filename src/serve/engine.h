@@ -132,7 +132,8 @@ struct EngineOptions
     std::string interconnect = "nvlink";
 };
 
-/** Aggregate engine statistics on the virtual clock (RunStats-style). */
+/** Aggregate engine statistics on the virtual clock (RunStats-style);
+ *  the only store of the serve.* counters. */
 struct EngineStats
 {
     int64_t steps = 0;
@@ -143,8 +144,6 @@ struct EngineStats
     int64_t requestsFinished = 0;
     int64_t evictions = 0;
     double busyUs = 0.0;      //!< device-clock time spent inside step()
-    int64_t peakKvBytes = 0;  //!< high-water unique-page pool usage
-    double ttftSumUs = 0.0;   //!< summed TTFT of finished requests
 
     /**
      * Host-side KV-cache bytes copied to relayout tensors for a compiled
@@ -155,13 +154,11 @@ struct EngineStats
      */
     int64_t relayoutBytes = 0;
 
-    // Execution-graph counters, split by phase: with bucketed capture the
-    // steady-state decode path should be almost all replays (the Fig. 17
+    // Execution-graph counters of pure-decode steps: with bucketed capture
+    // the steady state should be almost all replays (the Fig. 17
     // launch-overhead win applied to serving).
     int64_t decodeGraphBegins = 0;
     int64_t decodeGraphReplays = 0;
-    int64_t prefillGraphBegins = 0;
-    int64_t prefillGraphReplays = 0;
 
     // Speculative decoding counters. The target's packed call stays ONE
     // per step (decodeBatches == steps holds with speculation on); the
@@ -183,13 +180,6 @@ struct EngineStats
     tokensPerSec() const
     {
         return busyUs > 0 ? (double)tokensGenerated / busyUs * 1e6 : 0.0;
-    }
-
-    double
-    meanTtftUs() const
-    {
-        return requestsFinished > 0 ? ttftSumUs / (double)requestsFinished
-                                    : 0.0;
     }
 
     /** Fraction of decode-step graph regions served by replay. */
@@ -305,10 +295,9 @@ class Engine
     const EngineStats& stats() const { return stats_; }
 
     /**
-     * The engine's metrics registry (always on; EngineStats keeps the
-     * cheap aggregate view, the registry carries what aggregates cannot:
-     * full TTFT and inter-token latency distributions plus per-step KV
-     * pool gauges — see docs/DESIGN.md §7).
+     * The engine's metrics registry (always on): what aggregates cannot
+     * carry — full latency distributions and per-step gauges; see
+     * docs/DESIGN.md §7.
      *
      *  - serve.ttft_us / serve.itl_us histograms: recorded at token
      *    emission on the virtual clock. TTFT is measured from the
@@ -318,12 +307,13 @@ class Engine
      *    include eviction stalls (real tail latency, vLLM semantics).
      *  - kv.used_pages / kv.free_pages / kv.occupancy gauges sampled
      *    once per step; serve.decode_replay_hit_rate likewise.
-     *  - serve.* / kv.* counters mirror the event tallies (steps,
-     *    tokens, evictions, COW copies, prefix hits, ...) — the fuzz
-     *    oracle cross-checks them against the internal fields.
      */
     const MetricsRegistry& metrics() const { return metrics_; }
     MetricsRegistry& metrics() { return metrics_; }
+
+    /** Writes the registry plus the event tallies as counters: serve.*
+     *  from EngineStats, kv.* summed over the target and draft pools. */
+    void snapshotJson(std::ostream& os) const;
 
     KVCacheManager& kv() { return *kv_; }
     /** The draft model's KV pool (null until enableSpeculation()). */
@@ -411,6 +401,22 @@ class Engine
     std::vector<SequenceStatePtr> finished_;
     EngineStats stats_;
     MetricsRegistry metrics_;
+    /** Registry handles, resolved once (speculation's in
+     *  enableSpeculation(): resolving creates the snapshot entry). */
+    struct Meters
+    {
+        Histogram* ttftUs = nullptr;
+        Histogram* itlUs = nullptr;
+        Histogram* specAccepted = nullptr;
+        Gauge* usedPages = nullptr;
+        Gauge* freePages = nullptr;
+        Gauge* occupancy = nullptr;
+        Gauge* running = nullptr;
+        Gauge* replayHitRate = nullptr;
+        Gauge* specAcceptanceRate = nullptr;
+        std::vector<Gauge*> deviceAlloc; //!< device.<i>.alloc_bytes
+        std::vector<Gauge*> devicePeak;  //!< device.<i>.peak_bytes
+    } meters_;
     RequestId nextId_ = 0;
     int64_t nextAdmitSeq_ = 0;
 };

@@ -115,7 +115,6 @@ KVCacheManager::copyPage(int64_t src, int64_t dst)
         }
     }
     ++cowCopies_;
-    if (metrics_) metrics_->counter("kv.cow_copies").add();
     if (!machine_.dataMode()) return;
     for (auto& shard_pools : pools_) {
         for (NDArray& pool : shard_pools) {
@@ -277,7 +276,6 @@ KVCacheManager::truncate(RequestId seq, int64_t tokens)
     state.committed = new_committed;
     state.tokens = std::min(state.tokens, keep * blockTokens_);
     ++truncates_;
-    if (metrics_) metrics_->counter("kv.truncates").add();
     TraceRecorder& trace = machine_.dev().trace();
     if (trace.enabled()) {
         trace.instant(trace_lanes::kEngine, trace_lanes::kKvPool,
@@ -344,7 +342,12 @@ KVCacheManager::fork(RequestId parent, RequestId child, int64_t tokens)
 void
 KVCacheManager::dropFork(RequestId child)
 {
-    if (sequences_.find(child) == sequences_.end()) return;
+    auto it = sequences_.find(child);
+    if (it == sequences_.end()) return;
+    if (it->second.matched > 0) {
+        --prefixHits_;
+        prefixTokensMatched_ -= it->second.matched;
+    }
     release(child);
     --forks_;
 }
@@ -455,13 +458,10 @@ KVCacheManager::matchPrefix(RequestId child,
     state.tokens = (int64_t)state.pages.size() * blockTokens_;
     state.committed = state.tokens;
     state.blockHashes = std::move(hashes);
+    state.matched = state.tokens;
     ++forks_;
     ++prefixHits_;
     prefixTokensMatched_ += state.tokens;
-    if (metrics_) {
-        metrics_->counter("kv.prefix_hits").add();
-        metrics_->counter("kv.prefix_tokens_matched").add(state.tokens);
-    }
     TraceRecorder& trace = machine_.dev().trace();
     if (trace.enabled()) {
         trace.instant(trace_lanes::kEngine, trace_lanes::kKvPool,

@@ -42,7 +42,6 @@
 
 #include "frontend/llama.h"
 #include "serve/request.h"
-#include "support/metrics.h"
 #include "vm/vm.h"
 
 namespace relax {
@@ -177,9 +176,10 @@ class KVCacheManager
     /**
      * Undoes a speculative fork whose admission fell through before any
      * reservation: drops `child`'s references like release() and takes
-     * the fork back out of forkCount(), so the statistic reports only
-     * forks that actually admitted. No-op when `child` is unknown
-     * (including forks that degraded to no-ops).
+     * the fork back out of forkCount() — and a matchPrefix() share back
+     * out of prefixHits() and prefixTokensMatched() — so the statistics
+     * report only shares that actually admitted. No-op when `child` is
+     * unknown (including forks that degraded to no-ops).
      */
     void dropFork(RequestId child);
 
@@ -275,6 +275,9 @@ class KVCacheManager
     int numShards() const { return (int)shards_.size(); }
 
     // --- sharing statistics -------------------------------------------------
+    //
+    // The only store of these tallies: Engine::snapshotJson() exports them
+    // as the kv.* counters, summed over the target and draft pools.
 
     /** fork() / matchPrefix() calls that actually mapped shared pages. */
     int64_t forkCount() const { return forks_; }
@@ -292,25 +295,13 @@ class KVCacheManager
     /** Live hash→page index entries (test introspection). */
     int64_t indexedBlocks() const { return (int64_t)pageHash_.size(); }
 
-    // --- observability ------------------------------------------------------
-
-    /**
-     * Attaches the owning engine's MetricsRegistry: the manager then
-     * mirrors its sharing tallies into the `kv.*` counters (cow_copies,
-     * prefix_hits, prefix_tokens_matched) at the event sites, so a
-     * registry snapshot carries them without polling. Null detaches;
-     * the manager never owns the registry. COW-copy and prefix-hit
-     * trace instants ride the device's TraceRecorder independently of
-     * this (keyed by request id, engine kv-pool lane).
-     */
-    void setMetrics(MetricsRegistry* metrics) { metrics_ = metrics; }
-
   private:
     struct Sequence
     {
         std::vector<int64_t> pages; //!< physical pool pages, in order
         int64_t tokens = 0;    //!< reserved capacity in positions
         int64_t committed = 0; //!< positions actually written
+        int64_t matched = 0;   //!< positions mapped by matchPrefix()
         /** Chained content hash of each registered/matched full block
          *  (registration progress of the prefix-caching index). */
         std::vector<uint64_t> blockHashes;
@@ -340,7 +331,6 @@ class KVCacheManager
     vm::VirtualMachine& machine_;
     /** Shard VMs in rank order; {&machine_} on the single-device path. */
     std::vector<vm::VirtualMachine*> shards_;
-    MetricsRegistry* metrics_ = nullptr; //!< engine-owned, optional
     int64_t blockTokens_;
     int64_t bytesPerBlock_;
     int64_t budgetBytes_;

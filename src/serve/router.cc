@@ -23,6 +23,8 @@ Router::Router(std::vector<std::unique_ptr<Engine>> replicas,
         RELAX_ICHECK(replica != nullptr) << "Router replica is null";
     }
     outstanding_.assign(replicas_.size(), 0);
+    outstandingGauge_ = &metrics_.gauge("router.outstanding_tokens");
+    ttftHistogram_ = &metrics_.histogram("router.ttft_us");
 }
 
 int64_t
@@ -57,8 +59,7 @@ Router::dispatch(Arrival arrival)
         (int64_t)arrival.prompt.size() + arrival.maxNewTokens;
     int64_t cluster_outstanding = 0;
     for (int64_t tokens : outstanding_) cluster_outstanding += tokens;
-    metrics_.gauge("router.outstanding_tokens")
-        .sample((double)cluster_outstanding);
+    outstandingGauge_->sample((double)cluster_outstanding);
 
     // Tenant budget first: a tenant blowing its own cap is its overage,
     // not cluster overload, whatever the replicas look like.
@@ -66,9 +67,7 @@ Router::dispatch(Arrival arrival)
         tenantTokensInFlight(arrival.tenant) + charge >
             options_.maxTenantTokensInFlight) {
         ++stats_.tenantRejected;
-        metrics_.counter("router.tenant_rejected").add();
-        metrics_.counter("router.tenant." + arrival.tenant + ".rejected")
-            .add();
+        ++stats_.rejectedByTenant[arrival.tenant];
         return;
     }
 
@@ -79,7 +78,6 @@ Router::dispatch(Arrival arrival)
     if (options_.maxOutstandingTokensPerReplica > 0 &&
         outstanding_[best] >= options_.maxOutstandingTokensPerReplica) {
         ++stats_.shed;
-        metrics_.counter("router.shed").add();
         return;
     }
 
@@ -97,7 +95,6 @@ Router::dispatch(Arrival arrival)
     tenantInFlight_[arrival.tenant] += charge;
     inFlight_[{best, id}] = InFlight{std::move(arrival.tenant), charge};
     ++stats_.dispatched;
-    metrics_.counter("router.dispatched").add();
 }
 
 void
@@ -119,11 +116,8 @@ Router::stepReplica(size_t r)
         tenant_it->second -= it->second.chargedTokens;
         if (tenant_it->second <= 0) tenantInFlight_.erase(tenant_it);
         double ttft = finished.stats.ttftUs();
-        if (ttft >= 0) {
-            metrics_.histogram("router.ttft_us").record(ttft);
-        }
+        if (ttft >= 0) ttftHistogram_->record(ttft);
         ++stats_.finished;
-        metrics_.counter("router.finished").add();
         finished_.push_back(RoutedRequest{std::move(it->second.tenant),
                                           (int)r, std::move(finished)});
         inFlight_.erase(it);

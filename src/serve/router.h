@@ -30,10 +30,8 @@
  * steps. Idle replicas are advanced to the arrival time through
  * hostOverhead — a replica that sat idle does not time-travel.
  *
- * Metrics (`router.*` in the router's own registry):
- *   counters  router.dispatched / router.shed / router.tenant_rejected /
- *             router.finished, plus router.tenant.<name>.rejected per
- *             budget-rejected tenant
+ * Metrics (`router.*` in the router's own registry; event counts live
+ * in RouterStats alone):
  *   histogram router.ttft_us — admitted requests only, measured from
  *             the original arrival stamp (shed requests never enter it)
  *   gauge     router.outstanding_tokens — cluster-wide charge, sampled
@@ -75,6 +73,8 @@ struct RouterStats
     int64_t dispatched = 0;
     int64_t shed = 0;           //!< rejected by the overload valve
     int64_t tenantRejected = 0; //!< rejected by the tenant budget
+    /** tenantRejected per tenant (tenants never rejected are absent). */
+    std::map<std::string, int64_t> rejectedByTenant;
     int64_t finished = 0;
 };
 
@@ -152,6 +152,9 @@ class Router
     std::vector<RoutedRequest> finished_;
     RouterStats stats_;
     MetricsRegistry metrics_;
+    // Registry handles, resolved once at construction.
+    Gauge* outstandingGauge_ = nullptr;
+    Histogram* ttftHistogram_ = nullptr;
 };
 
 } // namespace serve

@@ -67,13 +67,14 @@ writeDouble(std::ostream& os, double value)
 } // namespace
 
 void
-MetricsRegistry::snapshotJson(std::ostream& os) const
+MetricsRegistry::snapshotJson(
+    std::ostream& os, const std::map<std::string, int64_t>& counters) const
 {
     os << "{\n  \"counters\": {";
     bool first = true;
-    for (const auto& [name, counter] : counters_) {
-        os << (first ? "" : ",") << "\n    \"" << name
-           << "\": " << counter.value();
+    for (const auto& [name, value] : counters) {
+        if (value == 0) continue; // a tally that never moved
+        os << (first ? "" : ",") << "\n    \"" << name << "\": " << value;
         first = false;
     }
     os << "\n  },\n  \"gauges\": {";

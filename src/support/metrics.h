@@ -1,26 +1,25 @@
 /**
  * @file
- * MetricsRegistry: a unified registry of named counters, gauges, and
- * histograms replacing ad-hoc statistics fields as the machine-readable
- * view of a run. The serving engine keeps one registry per instance and
- * updates it at event sites (the KV manager shares it for its own
- * tallies); unlike tracing, metrics are always on — every update is one
- * arithmetic op, cheap enough for the hot path.
+ * MetricsRegistry: named gauges and histograms. Event counts are not
+ * stored here — each lives once, in its owner's typed field (EngineStats,
+ * KVCacheManager, RouterStats), and joins the snapshot by name at export
+ * time. Owners resolve handles once at construction (std::map nodes never
+ * move), so every hot-path update is one arithmetic op and metrics,
+ * unlike tracing, never turn off.
  *
- *  - Counter: monotonic int64 (evictions, COW copies, prefix hits, ...).
  *  - Gauge: last/min/max/mean of a sampled value (KV pool occupancy and
  *    free pages per step, replay hit-rate, ...).
  *  - Histogram: full value retention with exact percentiles (TTFT and
  *    inter-token latency in virtual-clock microseconds) — the repo's
  *    runs are small enough that exactness beats bucketing, and the
- *    stored values make ground-truth cross-checks trivial (the fuzz
- *    oracle asserts count == finished requests).
+ *    stored values make ground-truth checks trivial (the fuzz oracle
+ *    asserts count == finished requests).
  *
- * snapshotJson() serializes the whole registry deterministically
- * (name-ordered maps, fixed float formatting): identical seeded runs
- * must produce byte-identical metrics JSON — the determinism tripwire
- * in scripts/check.sh diffs two serving-bench runs. See docs/DESIGN.md
- * §7 for the observability contract.
+ * snapshotJson() serializes the owner's counters and the whole registry
+ * deterministically (name-ordered maps, fixed float formatting):
+ * identical seeded runs must produce byte-identical metrics JSON — the
+ * determinism tripwire in scripts/check.sh diffs two serving-bench runs.
+ * See docs/DESIGN.md §7 for the observability contract.
  */
 #ifndef RELAX_SUPPORT_METRICS_H_
 #define RELAX_SUPPORT_METRICS_H_
@@ -32,17 +31,6 @@
 #include <vector>
 
 namespace relax {
-
-/** Monotonic event count. */
-class Counter
-{
-  public:
-    void add(int64_t delta = 1) { value_ += delta; }
-    int64_t value() const { return value_; }
-
-  private:
-    int64_t value_ = 0;
-};
 
 /** Point-in-time sampled value with min/max/mean over all samples. */
 class Gauge
@@ -101,24 +89,19 @@ class Histogram
 };
 
 /**
- * Named metrics, created on first use. Names are dotted paths
- * ("serve.ttft_us", "kv.cow_copies"); the maps are ordered so JSON
+ * Named gauges and histograms, created on first use. Names are dotted
+ * paths ("serve.ttft_us", "kv.occupancy"); the maps are ordered so JSON
  * snapshots are deterministic.
  */
 class MetricsRegistry
 {
   public:
-    Counter& counter(const std::string& name) { return counters_[name]; }
     Gauge& gauge(const std::string& name) { return gauges_[name]; }
     Histogram& histogram(const std::string& name)
     {
         return histograms_[name];
     }
 
-    const std::map<std::string, Counter>& counters() const
-    {
-        return counters_;
-    }
     const std::map<std::string, Gauge>& gauges() const { return gauges_; }
     const std::map<std::string, Histogram>& histograms() const
     {
@@ -126,15 +109,15 @@ class MetricsRegistry
     }
 
     /**
-     * Serializes every metric as one JSON object:
-     * {"counters": {name: value}, "gauges": {name: {last,min,max,mean,
-     * samples}}, "histograms": {name: {count,sum,min,max,mean,p50,p95,
-     * p99}}}. Deterministic (ordered names, "%.3f" floats).
+     * Serializes the owner's nonzero `counters` and every registry metric
+     * as one JSON object: {"counters": {name: value}, "gauges": {name:
+     * {last,min,max,mean,samples}}, "histograms": {name: {count,sum,min,
+     * max,mean,p50,p95,p99}}}. Deterministic (ordered names, "%.3f").
      */
-    void snapshotJson(std::ostream& os) const;
+    void snapshotJson(std::ostream& os,
+                      const std::map<std::string, int64_t>& counters) const;
 
   private:
-    std::map<std::string, Counter> counters_;
     std::map<std::string, Gauge> gauges_;
     std::map<std::string, Histogram> histograms_;
 };

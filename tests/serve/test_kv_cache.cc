@@ -340,6 +340,33 @@ TEST(KVCacheTest, PrefixIndexLifecycleMatchForkThenCowOnDivergence)
     EXPECT_EQ(kv.indexedBlocks(), 0);
 }
 
+TEST(KVCacheTest, DropForkTakesBackPrefixMatchTallies)
+{
+    // The scheduler matches a waiting head at every admission attempt and
+    // drops the match when the head does not fit: only the match that
+    // admits may count.
+    Fixture fx;
+    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    std::vector<int64_t> prompt = {3, 1, 4, 1, 5, 9, 2, 6, 5};
+    kv.reserve(1, 8);
+    kv.commit(1, 8);
+    kv.registerCommitted(1, prompt);
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        ASSERT_EQ(kv.matchPrefix(2, prompt), 8);
+        kv.dropFork(2);
+        EXPECT_EQ(kv.pagesOf(2), 0);
+        EXPECT_EQ(kv.forkCount(), 0);
+        EXPECT_EQ(kv.prefixHits(), 0);
+        EXPECT_EQ(kv.prefixTokensMatched(), 0);
+    }
+    // The explicit fork path has no match to take back.
+    kv.fork(1, 3, 4);
+    kv.dropFork(3);
+    EXPECT_EQ(kv.forkCount(), 0);
+    EXPECT_EQ(kv.prefixHits(), 0);
+    EXPECT_EQ(kv.usedPages(), 2);
+}
+
 TEST(KVCacheTest, HashCollisionsFallBackToNoShareViaContentVerify)
 {
     Fixture fx;

@@ -1,9 +1,9 @@
 /**
  * @file
  * Router tests: least-outstanding-tokens balancing across replicas,
- * overload shedding, per-tenant budgets, and the router.* metrics
- * contract — all on data-mode tiny engines so routed token streams can
- * be checked against a single-engine oracle.
+ * overload shedding, per-tenant budgets, and the router.* histogram and
+ * gauge — all on data-mode tiny engines so routed token streams can be
+ * checked against a single-engine oracle.
  */
 #include <gtest/gtest.h>
 
@@ -110,10 +110,15 @@ TEST(RouterTest, ShedsWhenEveryReplicaIsSaturated)
     EXPECT_EQ(stats.dispatched, 2);
     EXPECT_EQ(stats.shed, 4);
     EXPECT_EQ(stats.finished, 2);
-    EXPECT_EQ(router.metrics().counters().at("router.shed").value(), 4);
-    // Shed requests never enter the admitted-TTFT histogram.
+    // Shed requests never enter the admitted-TTFT histogram; the load
+    // gauge samples every dispatch decision, admitted or not.
     EXPECT_EQ(router.metrics().histograms().at("router.ttft_us").count(),
               2);
+    EXPECT_EQ(router.metrics()
+                  .gauges()
+                  .at("router.outstanding_tokens")
+                  .samples(),
+              6);
 }
 
 TEST(RouterTest, TenantBudgetRejectsOnlyTheOverageTenant)
@@ -129,6 +134,8 @@ TEST(RouterTest, TenantBudgetRejectsOnlyTheOverageTenant)
     // All five land at t=0 before anything finishes: greedy's third and
     // fourth exceed its cap, modest is untouched by greedy's overage.
     EXPECT_EQ(stats.tenantRejected, 2);
+    EXPECT_EQ(stats.rejectedByTenant,
+              (std::map<std::string, int64_t>{{"greedy", 2}}));
     EXPECT_EQ(stats.dispatched, 3);
     EXPECT_EQ(stats.shed, 0);
     auto routed = router.collect();
@@ -136,30 +143,6 @@ TEST(RouterTest, TenantBudgetRejectsOnlyTheOverageTenant)
     for (const auto& r : routed) modest += r.tenant == "modest" ? 1 : 0;
     EXPECT_EQ(modest, 1);
     EXPECT_EQ(router.tenantTokensInFlight("greedy"), 0);
-}
-
-TEST(RouterTest, MetricsMirrorStats)
-{
-    Router router(buildReplicas(2));
-    for (int i = 0; i < 3; ++i) {
-        router.submit("t", {1, 2, (int64_t)i + 1}, 3,
-                      /*arrival_us=*/i * 100.0);
-    }
-    const RouterStats& stats = router.run();
-    const auto& counters = router.metrics().counters();
-    EXPECT_EQ(counters.at("router.dispatched").value(), stats.dispatched);
-    EXPECT_EQ(counters.at("router.finished").value(), stats.finished);
-    EXPECT_EQ(counters.count("router.shed"), 0u); // never shed => absent
-    EXPECT_EQ(router.metrics()
-                  .histograms()
-                  .at("router.ttft_us")
-                  .count(),
-              stats.finished);
-    EXPECT_GT(router.metrics()
-                  .gauges()
-                  .at("router.outstanding_tokens")
-                  .samples(),
-              0);
 }
 
 } // namespace

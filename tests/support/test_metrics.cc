@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the MetricsRegistry: counter/gauge/histogram semantics, the
+ * Tests for the MetricsRegistry: gauge/histogram semantics, the
  * nearest-rank percentile convention (shared with the serving bench),
- * create-on-first-use naming, and deterministic JSON snapshots.
+ * create-on-first-use naming with stable handles, and deterministic JSON
+ * snapshots.
  */
 #include <gtest/gtest.h>
 
@@ -12,15 +13,6 @@
 
 namespace relax {
 namespace {
-
-TEST(MetricsTest, CounterIsMonotonic)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0);
-    c.add();
-    c.add(41);
-    EXPECT_EQ(c.value(), 42);
-}
 
 TEST(MetricsTest, GaugeTracksLastMinMaxMean)
 {
@@ -59,12 +51,14 @@ TEST(MetricsTest, HistogramPercentileUsesNearestRank)
 TEST(MetricsTest, RegistryCreatesOnFirstUseAndKeepsIdentity)
 {
     MetricsRegistry registry;
-    registry.counter("serve.evictions").add(3);
-    registry.counter("serve.evictions").add(); // same instance
-    EXPECT_EQ(registry.counter("serve.evictions").value(), 4);
-    registry.histogram("serve.ttft_us").record(100.0);
+    // A handle resolved once stays the live instance as the map grows.
+    Histogram* ttft = &registry.histogram("serve.ttft_us");
+    registry.histogram("serve.itl_us").record(1.0);
+    ttft->record(100.0);
+    EXPECT_EQ(&registry.histogram("serve.ttft_us"), ttft);
     EXPECT_EQ(registry.histograms().at("serve.ttft_us").count(), 1);
-    EXPECT_EQ(registry.counters().size(), 1u);
+    EXPECT_EQ(registry.histograms().size(), 2u);
+    EXPECT_TRUE(registry.gauges().empty());
 }
 
 TEST(MetricsTest, SnapshotJsonIsDeterministicAndNameOrdered)
@@ -72,21 +66,23 @@ TEST(MetricsTest, SnapshotJsonIsDeterministicAndNameOrdered)
     auto build = [] {
         MetricsRegistry registry;
         // Inserted in non-alphabetical order; the snapshot must sort.
-        registry.counter("zeta").add(2);
-        registry.counter("alpha").add(1);
+        registry.gauge("zeta").sample(2.0);
         registry.gauge("kv.occupancy").sample(0.5);
         registry.histogram("ttft").record(10.0);
         registry.histogram("ttft").record(30.0);
         std::ostringstream os;
-        registry.snapshotJson(os);
+        registry.snapshotJson(
+            os, {{"serve.steps", 3}, {"kv.cow_copies", 1}, {"zero", 0}});
         return os.str();
     };
     std::string json = build();
     EXPECT_EQ(json, build());
     EXPECT_NE(json.find("\"counters\""), std::string::npos);
-    EXPECT_LT(json.find("\"alpha\""), json.find("\"zeta\""));
-    EXPECT_NE(json.find("\"alpha\": 1"), std::string::npos);
-    EXPECT_NE(json.find("\"kv.occupancy\""), std::string::npos);
+    EXPECT_LT(json.find("\"kv.cow_copies\": 1"),
+              json.find("\"serve.steps\": 3"));
+    EXPECT_NE(json.find("\"serve.steps\": 3"), std::string::npos);
+    EXPECT_EQ(json.find("\"zero\""), std::string::npos); // never moved
+    EXPECT_LT(json.find("\"kv.occupancy\""), json.find("\"zeta\""));
     EXPECT_NE(json.find("\"p99\": 30.000"), std::string::npos);
 }
 
