@@ -89,7 +89,7 @@ struct TraceResult
     int64_t planBytes = 0;      //!< Table 2 activation watermark
     int64_t planReuseHits = 0;
     int64_t inplaceRewrites = 0;
-    // Tensor-parallel runs only (engine->deviceGroup() != null):
+    // Collectives of the engine's device group (zero at tp = 1):
     int64_t collectiveCount = 0;
     double collectiveUs = 0.0;
     int64_t collectiveBytes = 0;
@@ -320,11 +320,10 @@ runTrace(const frontend::LlamaConfig& config,
         (int64_t)engine->metrics().gauge("plan.reuse_hits").last();
     result.inplaceRewrites =
         (int64_t)engine->metrics().gauge("plan.inplace_rewrites").last();
-    if (engine->deviceGroup() != nullptr) {
-        result.collectiveCount = engine->deviceGroup()->collectiveCount();
-        result.collectiveUs = engine->deviceGroup()->collectiveUs();
-        result.collectiveBytes = engine->deviceGroup()->collectiveBytes();
-    }
+    const device::DeviceGroup& group = *engine->deviceGroup();
+    result.collectiveCount = group.collectiveCount();
+    result.collectiveUs = group.collectiveUs();
+    result.collectiveBytes = group.collectiveBytes();
 
     if (instrument) {
         result.traceWellNested =

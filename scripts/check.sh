@@ -27,7 +27,8 @@ if [[ "${SKIP_BENCH:-0}" == 1 ]]; then
 fi
 
 # Smoke-run the bench harness (timing mode, fast) so driver rot is caught:
-# one paper-figure driver plus the serving-throughput driver.
+# one paper-figure driver plus the serving-throughput driver; the
+# repository benchmark (perf/) is smoked last.
 echo "== bench smoke: fig14 nvidia decode"
 ./bench_fig14_nvidia_decode > /dev/null
 echo "== bench smoke: serve throughput"
@@ -108,9 +109,9 @@ echo "speculation uplift gate passed (${uplift}x at 0.95 acceptance)"
 # serving model across four simulated devices with priced ring
 # collectives; the binary itself gates the >= 2x saturated speedup, the
 # one-call-per-step invariant under sharding, and that the collectives
-# carry nonzero time. Here we pin the single-device contract on top:
-# a --tp=1 invocation must be byte-identical to the default run — the
-# tensor-parallel machinery may not perturb the tp=1 path at all.
+# carry nonzero time. On top, an explicit --tp=1 must reproduce the
+# default invocation byte for byte: both serve on a one-device group
+# through the same lockstep call path, so the flag changes nothing.
 echo "== bench smoke: serve throughput (tensor parallel)"
 ./bench_serve_throughput --tp=1 --bench-json=bench_tp1.json > /dev/null
 if ! cmp -s BENCH_serve.json bench_tp1.json; then
@@ -118,7 +119,7 @@ if ! cmp -s BENCH_serve.json bench_tp1.json; then
        "(tensor-parallel plumbing perturbed the single-device path)" >&2
   exit 1
 fi
-echo "tp=1 identity gate passed (bench JSON byte-identical)"
+echo "tp=1 identity gate passed (bench JSON byte-identical to the default run)"
 tp_out="$(./bench_serve_throughput --tp=4 --bench-json=bench_tp4.json)"
 printf '%s\n' "$tp_out" | sed -n '/^tensor parallel/p'
 if ! printf '%s\n' "$tp_out" | grep -q '^tensor parallel (tp = 4'; then
@@ -203,3 +204,14 @@ echo "== instrumented fuzz smoke (differential alias verification)"
 RELAX_ALIAS_CHECK=1 RELAX_VERIFY_ALIAS=1 \
   ./test_serve --gtest_filter='FuzzTraceTest.*' > /dev/null
 echo "instrumented fuzz smoke passed (in-place kernels bit-identical)"
+
+# Repository benchmark smoke (perf/, BENCHMARK.json). perf/ builds its
+# own tree (build/perf) against the public serving API, so a change to
+# that API fails here rather than only when a benchmark run is due. One
+# second of compile_decode builds three Fig. 14 models, probes decode
+# and runs its correctness checks, including token identity of a tiny
+# data-mode engine; run.py exits nonzero when any check fails.
+echo "== benchmark smoke: perf/run.py --workload compile_decode"
+python3 "$repo_root/perf/run.py" --workload compile_decode --seconds 1 |
+  tail -n 1
+echo "benchmark smoke passed (compile_decode correct)"

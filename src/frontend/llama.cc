@@ -629,6 +629,8 @@ shardLlamaWeights(const LlamaConfig& config,
     RELAX_ICHECK(num_shards >= 1 && shard >= 0 && shard < num_shards)
         << "shardLlamaWeights: bad shard index " << shard << "/"
         << num_shards;
+    // One shard is the whole model: nothing to slice or look up.
+    if (num_shards == 1) return full;
     if (config.quant != Quant::kF16) {
         RELAX_THROW(RuntimeError)
             << "shardLlamaWeights: quantized weights are not shardable";
@@ -642,7 +644,7 @@ shardLlamaWeights(const LlamaConfig& config,
     out.reserve(full.size());
     for (size_t i = 0; i < full.size(); ++i) {
         int axis = shardAxisOf(names[i]);
-        if (axis < 0 || num_shards == 1) {
+        if (axis < 0) {
             // Replicated: share the handle — weights are read-only.
             out.push_back(full[i]);
             continue;
@@ -659,60 +661,6 @@ shardLlamaWeights(const LlamaConfig& config,
             sliceDim(full[i], (size_t)axis, shard * chunk, chunk));
     }
     return out;
-}
-
-NDArray
-stackBatch(const std::vector<NDArray>& parts)
-{
-    RELAX_ICHECK(!parts.empty()) << "stackBatch: no parts";
-    const NDArray& first = parts.front();
-    RELAX_ICHECK(!first.shape().empty() && first.shape()[0] == 1)
-        << "stackBatch: parts must have batch dimension 1";
-    std::vector<int64_t> shape = first.shape();
-    shape[0] = (int64_t)parts.size();
-    for (const NDArray& part : parts) {
-        RELAX_ICHECK(part.shape() == first.shape())
-            << "stackBatch: shape mismatch";
-        RELAX_ICHECK(part.dtype() == first.dtype())
-            << "stackBatch: dtype mismatch";
-        RELAX_ICHECK(part.hasData() == first.hasData())
-            << "stackBatch: mixed data/metadata parts";
-    }
-    if (!first.hasData()) return NDArray::metaOnly(shape, first.dtype());
-    NDArray batched = NDArray::zeros(shape, first.dtype());
-    int64_t row = first.numel();
-    for (size_t i = 0; i < parts.size(); ++i) {
-        const auto& src = parts[i].data();
-        std::copy(src.begin(), src.end(),
-                  batched.data().begin() + (int64_t)i * row);
-    }
-    return batched;
-}
-
-std::vector<NDArray>
-splitBatch(const NDArray& batched)
-{
-    RELAX_ICHECK(!batched.shape().empty()) << "splitBatch: rank-0 tensor";
-    int64_t b = batched.shape()[0];
-    std::vector<int64_t> shape = batched.shape();
-    shape[0] = 1;
-    std::vector<NDArray> parts;
-    parts.reserve(b);
-    if (!batched.hasData()) {
-        for (int64_t i = 0; i < b; ++i) {
-            parts.push_back(NDArray::metaOnly(shape, batched.dtype()));
-        }
-        return parts;
-    }
-    int64_t row = batched.numel() / std::max<int64_t>(b, 1);
-    for (int64_t i = 0; i < b; ++i) {
-        NDArray part = NDArray::zeros(shape, batched.dtype());
-        std::copy(batched.data().begin() + i * row,
-                  batched.data().begin() + (i + 1) * row,
-                  part.data().begin());
-        parts.push_back(std::move(part));
-    }
-    return parts;
 }
 
 } // namespace frontend

@@ -105,25 +105,5 @@ graphOffloadPass(const TargetInfo& target)
             }};
 }
 
-Pipeline
-buildDefaultPipeline(const TargetInfo& target, const SymBounds& bounds)
-{
-    // The fixed pipeline order of Fig. 13.
-    Pipeline pipeline;
-    pipeline.add(normalizePass())
-        .add(partialLibraryLoweringPass(target))
-        .add(legalizeOpsPass())
-        .add(deadCodeEliminationPass())
-        .add(annotateTIRPatternsPass())
-        .add(fuseOpsPass())
-        .add(fuseTensorIRPass())
-        .add(workspaceLiftingPass())
-        .add(inplacePlanPass())
-        .add(lowerCallTIRPass())
-        .add(staticMemoryPlanPass(bounds))
-        .add(graphOffloadPass(target));
-    return pipeline;
-}
-
 } // namespace passes
 } // namespace relax

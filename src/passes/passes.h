@@ -119,10 +119,6 @@ Pass staticMemoryPlanPass(const SymBounds& bounds = {});
  *  sequences in capture/replay regions when the target supports it. */
 Pass graphOffloadPass(const TargetInfo& target);
 
-/** Builds the standard optimization pipeline of Fig. 13. */
-Pipeline buildDefaultPipeline(const TargetInfo& target,
-                              const SymBounds& bounds = {});
-
 } // namespace passes
 } // namespace relax
 

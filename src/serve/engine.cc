@@ -69,21 +69,23 @@ draftPoolBytes(const SpeculationOptions& spec, const EngineOptions& opts)
 
 } // namespace
 
-Engine::Engine(vm::ExecutablePtr exec,
-               std::shared_ptr<device::SimDevice> dev, bool data_mode,
-               frontend::LlamaConfig config, std::vector<NDArray> weights,
-               EngineOptions options,
-               std::shared_ptr<device::DeviceGroup> group)
-    : config_(std::move(config)), options_(options),
-      group_(std::move(group)), scheduler_(options.scheduler),
-      sampler_(options.sampler), weights_(std::move(weights)),
-      draftSampler_(options.sampler)
+std::vector<vm::VirtualMachine*>
+Engine::Model::rankVms() const
 {
-    if (group_ && group_->size() <= 1) group_.reset();
-    if (group_) {
-        RELAX_ICHECK(dev == group_->devicePtr(0))
-            << "tensor-parallel engine must run on the group's device 0";
-    }
+    std::vector<vm::VirtualMachine*> vms;
+    vms.reserve(ranks.size());
+    for (const auto& rank : ranks) vms.push_back(rank.get());
+    return vms;
+}
+
+Engine::Engine(vm::ExecutablePtr exec,
+               std::shared_ptr<device::DeviceGroup> group, bool data_mode,
+               frontend::LlamaConfig config, std::vector<NDArray> weights,
+               EngineOptions options)
+    : config_(std::move(config)), options_(options),
+      group_(std::move(group)), scheduler_(options.scheduler)
+{
+    RELAX_ICHECK(group_) << "engine needs a device group";
     // Memory-plan observability: the compiler's plan for the serving
     // functions is static, so its footprint is sampled once here (the
     // Table 2 "activation memory" figure is plan.total_bytes of the
@@ -101,25 +103,18 @@ Engine::Engine(vm::ExecutablePtr exec,
         metrics_.gauge("plan.inplace_rewrites")
             .sample((double)plan.inplaceWrites);
     }
-    machine_ = std::make_unique<vm::VirtualMachine>(exec, std::move(dev),
-                                                    data_mode);
-    if (group_) {
-        // Rank 0 is machine_; ranks 1..N-1 get their own VM on their own
-        // device, all sharing ONE ShardPass'd executable (the split is
-        // uniform, so one compiled program serves every shard) — which
-        // is also what invokeLockstep requires. Each rank holds its
-        // Megatron slice of the full weights; replicated tensors share
-        // storage by handle.
-        int n = group_->size();
-        for (int s = 1; s < n; ++s) {
-            shardMachines_.push_back(std::make_unique<vm::VirtualMachine>(
-                exec, group_->devicePtr(s), data_mode));
-        }
-        shardWeights_.reserve((size_t)n);
-        for (int s = 0; s < n; ++s) {
-            shardWeights_.push_back(
-                frontend::shardLlamaWeights(config_, weights_, s, n));
-        }
+    // One rank VM per device of the group, all sharing ONE executable
+    // (the ShardPass split is uniform, so one compiled program serves
+    // every shard — which is also what invokeLockstep requires). Each
+    // rank holds its Megatron slice of the full weights; replicated
+    // tensors share storage by handle, and a lone rank holds them all.
+    Model& target = models_.emplace_back(group_.get(), options_.sampler);
+    int n = tensorParallel();
+    for (int s = 0; s < n; ++s) {
+        target.ranks.push_back(std::make_unique<vm::VirtualMachine>(
+            exec, group_->devicePtr(s), data_mode));
+        target.weights.push_back(
+            frontend::shardLlamaWeights(config_, weights, s, n));
     }
     int64_t budget = options_.kvBudgetBytes;
     if (budget <= 0) {
@@ -138,7 +133,7 @@ Engine::Engine(vm::ExecutablePtr exec,
             resident += options_.speculation.draftConfig.weightBytes() +
                         draftPoolBytes(options_.speculation, options_);
         }
-        budget = (int64_t)((double)(machine_->dev().spec().vramBytes -
+        budget = (int64_t)((double)(machine().dev().spec().vramBytes -
                                     resident) *
                            0.8);
         int64_t usable = config_.kvBytesPerToken() *
@@ -148,21 +143,15 @@ Engine::Engine(vm::ExecutablePtr exec,
     }
     budget = std::max(budget,
                       config_.kvBytesPerToken() * options_.kvBlockTokens);
-    // The budget formula above is the tp=1 formula in LOGICAL full-model
-    // bytes regardless of sharding — the KV manager divides residency
-    // per shard internally, so admission decisions (and therefore the
-    // token streams) are identical at every tensorParallel.
-    std::vector<vm::VirtualMachine*> kv_shards;
-    if (group_) {
-        kv_shards.push_back(machine_.get());
-        for (auto& shard : shardMachines_) kv_shards.push_back(shard.get());
-    }
-    kv_ = std::make_unique<KVCacheManager>(config_, *machine_, budget,
-                                           options_.kvBlockTokens,
-                                           kv_shards);
+    // The budget formula above is in LOGICAL full-model bytes regardless
+    // of sharding — the KV manager divides residency per rank
+    // internally, so admission decisions (and therefore the token
+    // streams) are identical at every tensorParallel.
+    target.kv = std::make_unique<KVCacheManager>(
+        config_, machine(), budget, options_.kvBlockTokens, target.rankVms());
     // The scheduler stamps lifecycle instants with the device clock +
     // TraceRecorder.
-    scheduler_.attachDevice(&machine_->dev());
+    scheduler_.attachDevice(&machine().dev());
     meters_.ttftUs = &metrics_.histogram("serve.ttft_us");
     meters_.itlUs = &metrics_.histogram("serve.itl_us");
     meters_.usedPages = &metrics_.gauge("kv.used_pages");
@@ -170,9 +159,9 @@ Engine::Engine(vm::ExecutablePtr exec,
     meters_.occupancy = &metrics_.gauge("kv.occupancy");
     meters_.running = &metrics_.gauge("serve.running");
     meters_.replayHitRate = &metrics_.gauge("serve.decode_replay_hit_rate");
-    // Per-device memory gauges, one lane per shard (device 0 alone on
-    // single-device engines, matching the trace pid layout).
-    for (int i = 0; i < tensorParallel(); ++i) {
+    // Per-device memory gauges, one lane per rank (matching the trace pid
+    // layout).
+    for (int i = 0; i < n; ++i) {
         std::string prefix = "device." + std::to_string(i) + ".";
         meters_.deviceAlloc.push_back(&metrics_.gauge(prefix + "alloc_bytes"));
         meters_.devicePeak.push_back(&metrics_.gauge(prefix + "peak_bytes"));
@@ -193,28 +182,22 @@ Engine::build(const frontend::LlamaConfig& config,
         // graph.
         copts.graphBucketTokens = options.kvBlockTokens;
     }
-    std::shared_ptr<device::DeviceGroup> group;
-    if (options.tensorParallel > 1) {
-        // ShardPass rewrites decode_ragged into the per-shard program;
-        // the engine runs it across an N-device group in lockstep.
-        copts.tensorParallel = options.tensorParallel;
-        group = std::make_shared<device::DeviceGroup>(
-            copts.device, (int)options.tensorParallel,
-            device::interconnectByName(options.interconnect));
-    }
+    // Above one shard, ShardPass rewrites decode_ragged into the
+    // per-shard program the engine runs across the group in lockstep.
+    copts.tensorParallel = options.tensorParallel;
+    auto group = std::make_shared<device::DeviceGroup>(
+        copts.device, (int)options.tensorParallel,
+        device::interconnectByName(options.interconnect));
     auto exec = frontend::compile(frontend::buildLlama(config), copts);
-    auto dev = group ? group->devicePtr(0)
-                     : std::make_shared<device::SimDevice>(copts.device);
     auto weights = frontend::makeLlamaWeights(config, data_mode);
-    auto engine = std::make_unique<Engine>(std::move(exec), std::move(dev),
+    auto engine = std::make_unique<Engine>(std::move(exec), std::move(group),
                                            data_mode, config,
-                                           std::move(weights), options,
-                                           std::move(group));
+                                           std::move(weights), options);
     if (options.speculation.draftTokens > 0) {
         // The draft compiles under the same options (device, bounds,
         // bucket): its verify-free n=1 decode reuses the exact symbolic
         // machinery, just over a smaller config. It is never sharded —
-        // it runs single-VM on the group's device 0, and any clock skew
+        // it runs on the group's device 0 alone, and any clock skew
         // merges at the target's next collective barrier.
         const frontend::LlamaConfig& dconfig =
             options.speculation.draftConfig;
@@ -239,7 +222,7 @@ Engine::enableSpeculation(vm::ExecutablePtr draft_exec,
         << "enableSpeculation: options.speculation.draftTokens must be "
            "positive at engine construction (the KV budget accounts for "
            "the draft footprint there)";
-    RELAX_ICHECK(!draftMachine_) << "draft model already attached";
+    RELAX_ICHECK(!speculationEnabled()) << "draft model already attached";
     RELAX_ICHECK(spec.draftConfig.vocabSize == config_.vocabSize)
         << "draft vocabulary (" << spec.draftConfig.vocabSize
         << ") must match the target's (" << config_.vocabSize
@@ -247,16 +230,18 @@ Engine::enableSpeculation(vm::ExecutablePtr draft_exec,
     RELAX_ICHECK(spec.draftConfig.maxContext >= config_.maxContext)
         << "draft context window (" << spec.draftConfig.maxContext
         << ") must cover the target's (" << config_.maxContext << ")";
-    draftMachine_ = std::make_unique<vm::VirtualMachine>(
-        std::move(draft_exec), machine_->devPtr(), machine_->dataMode());
+    bool data_mode = machine().dataMode();
+    Model& draft = models_.emplace_back(nullptr, options_.sampler);
+    draft.ranks.push_back(std::make_unique<vm::VirtualMachine>(
+        std::move(draft_exec), group_->devicePtr(0), data_mode));
     // Namespace the draft's captured graphs: graph ids restart per
     // executable, so without this a draft region could replay a graph
     // the target captured on the shared device.
-    draftMachine_->setGraphKeyspace("draft");
-    draftKv_ = std::make_unique<KVCacheManager>(
-        spec.draftConfig, *draftMachine_, draftPoolBytes(spec, options_),
+    draft.ranks[0]->setGraphKeyspace("draft");
+    draft.weights.push_back(std::move(draft_weights));
+    draft.kv = std::make_unique<KVCacheManager>(
+        spec.draftConfig, *draft.ranks[0], draftPoolBytes(spec, options_),
         options_.kvBlockTokens);
-    draftWeights_ = std::move(draft_weights);
     meters_.specAccepted = &metrics_.histogram("serve.spec_accepted");
     meters_.specAcceptanceRate =
         &metrics_.gauge("serve.spec_acceptance_rate");
@@ -283,9 +268,9 @@ Engine::addRequest(std::vector<int64_t> prompt, int64_t max_new_tokens,
     seq->request.maxNewTokens = max_new_tokens;
     seq->request.stopToken = stop_token;
     seq->stats.arrivalUs =
-        arrival_us >= 0 ? arrival_us : machine_->dev().clockUs();
+        arrival_us >= 0 ? arrival_us : machine().dev().clockUs();
     RequestId id = seq->request.id;
-    TraceRecorder& trace = machine_->dev().trace();
+    TraceRecorder& trace = machine().dev().trace();
     if (trace.enabled()) {
         // The request's whole lifetime is one async span keyed by its id
         // (async pairs may overlap, unlike 'X' spans), opened at the
@@ -309,10 +294,9 @@ Engine::hasPendingWork() const
 int64_t
 Engine::sampleFor(const NDArray& logits, int64_t position)
 {
-    if (machine_->dataMode()) {
-        return sampler_.samplePacked(logits, position);
-    }
-    return sampler_.sampleSynthetic(config_.vocabSize);
+    Sampler& sampler = models_.front().sampler;
+    if (machine().dataMode()) return sampler.samplePacked(logits, position);
+    return sampler.sampleSynthetic(config_.vocabSize);
 }
 
 void
@@ -321,7 +305,7 @@ Engine::appendToken(const SequenceStatePtr& seq, int64_t token)
     seq->generated.push_back(token);
     ++seq->stats.generatedTokens;
     ++stats_.tokensGenerated;
-    double now = machine_->dev().clockUs();
+    double now = machine().dev().clockUs();
     if (seq->stats.firstTokenUs < 0) {
         seq->stats.firstTokenUs = now;
         // TTFT from the ORIGINAL arrival stamp: eviction + re-admission
@@ -329,7 +313,7 @@ Engine::appendToken(const SequenceStatePtr& seq, int64_t token)
         // first token contributes its full queue + retry wait here
         // (engine.h metrics() contract; pinned by test_engine.cc).
         meters_.ttftUs->record(now - seq->stats.arrivalUs);
-        TraceRecorder& trace = machine_->dev().trace();
+        TraceRecorder& trace = machine().dev().trace();
         if (trace.enabled()) {
             trace.instant(trace_lanes::kEngine, trace_lanes::kRequests,
                           "first_token", "lifecycle", now,
@@ -353,13 +337,12 @@ void
 Engine::finishSequence(const SequenceStatePtr& seq)
 {
     seq->phase = RequestPhase::kFinished;
-    seq->stats.finishUs = machine_->dev().clockUs();
-    kv_->release(seq->request.id);
-    if (draftKv_) draftKv_->release(seq->request.id);
+    seq->stats.finishUs = machine().dev().clockUs();
+    for (Model& model : models_) model.kv->release(seq->request.id);
     running_.erase(std::find(running_.begin(), running_.end(), seq));
     finished_.push_back(seq);
     ++stats_.requestsFinished;
-    TraceRecorder& trace = machine_->dev().trace();
+    TraceRecorder& trace = machine().dev().trace();
     if (trace.enabled()) {
         trace.asyncEnd(trace_lanes::kEngine, trace_lanes::kRequests,
                        "request", "request", seq->request.id,
@@ -372,24 +355,23 @@ Engine::finishSequence(const SequenceStatePtr& seq)
 void
 Engine::evict(const SequenceStatePtr& victim)
 {
-    TraceRecorder& trace = machine_->dev().trace();
+    TraceRecorder& trace = machine().dev().trace();
     if (trace.enabled()) {
         trace.instant(trace_lanes::kEngine, trace_lanes::kRequests,
-                      "evict", "lifecycle", machine_->dev().clockUs(),
+                      "evict", "lifecycle", machine().dev().clockUs(),
                       {{"request", victim->request.id},
                        {"ctx_len", victim->ctxLen},
                        {"generated", (int64_t)victim->generated.size()}});
     }
     victim->ctxLen = 0;
-    kv_->release(victim->request.id);
     // The draft cache rebuilds by catch-up after re-admission, exactly
     // as the target re-prefills.
-    if (draftKv_) draftKv_->release(victim->request.id);
+    for (Model& model : models_) model.kv->release(victim->request.id);
     running_.erase(std::find(running_.begin(), running_.end(), victim));
     ++victim->stats.preemptions;
     ++stats_.evictions;
     // Back of the queue: generated tokens ride along and are re-prefilled
-    // on re-admission (re-forking a still-resident parent prefix), so the
+    // on re-admission (re-matching a still-indexed prefix), so the
     // output stream resumes where it stopped.
     scheduler_.enqueue(victim);
 }
@@ -403,27 +385,26 @@ Engine::ensureWritable(const SequenceStatePtr& seq, int64_t tokens,
     // Evicting a prefix-sharing reader can itself unshare the range, so
     // the condition is re-checked every round.
     if (seq->phase != RequestPhase::kRunning) return;
-    while (!kv_->canHoldWrite(seq->request.id, tokens, write_start)) {
+    while (!kv().canHoldWrite(seq->request.id, tokens, write_start)) {
         SequenceStatePtr victim = Scheduler::pickVictim(running_);
         RELAX_ICHECK(victim) << "no eviction victim";
         if (victim == seq && running_.size() == 1) {
             RELAX_THROW(RuntimeError)
-                << "KV budget (" << kv_->budgetBytes()
+                << "KV budget (" << kv().budgetBytes()
                 << " bytes) cannot grow the only running sequence to "
                 << tokens << " positions";
         }
         evict(victim);
         if (victim == seq) return;
     }
-    kv_->reserveWrite(seq->request.id, tokens, write_start);
+    kv().reserveWrite(seq->request.id, tokens, write_start);
 }
 
 NDArray
-Engine::invokeRaggedOn(vm::VirtualMachine& vm, KVCacheManager& kv,
-                       const std::vector<NDArray>& weights,
-                       const std::vector<RequestId>& order,
-                       const std::vector<std::vector<int64_t>>& tokens)
+Engine::invokeRagged(Model& model, const std::vector<RequestId>& order,
+                     const std::vector<std::vector<int64_t>>& tokens)
 {
+    KVCacheManager& kv = *model.kv;
     int64_t table_width = 1;
     for (RequestId id : order) {
         table_width = std::max(table_width, kv.pagesOf(id));
@@ -431,64 +412,28 @@ Engine::invokeRaggedOn(vm::VirtualMachine& vm, KVCacheManager& kv,
     // ids, lens, cu_fresh and the block table are the only
     // host-marshalled inputs; cache data stays in the pool
     // (relayoutBytes stays 0 — any future host-side cache copy must be
-    // added to that counter).
-    NDArray ids = packedIdsTensor(tokens, vm.dataMode());
+    // added to that counter). Every rank gets the SAME host metadata
+    // tensors (shared handles — there is one logical batch) but its own
+    // pool slice and weight slice.
+    NDArray ids = packedIdsTensor(tokens, machine().dataMode());
     NDArray lens = kv.lengthsView(order);
     NDArray cu = cuFreshTensor(tokens);
     NDArray table = kv.blockTableView(order, table_width);
-
-    if (&vm == machine_.get() && group_) {
-        // Tensor-parallel target call: every rank gets the SAME host
-        // metadata tensors (shared handles — there is one logical batch)
-        // but its own pool slice and weight slice; the lockstep driver
-        // prices the ccl.* sites as group collectives. Shard 0's result
-        // carries the full logits (the all_gather materializes them on
-        // every rank).
-        std::vector<vm::VirtualMachine*> shard_vms{machine_.get()};
-        for (auto& shard : shardMachines_) shard_vms.push_back(shard.get());
-        std::vector<std::vector<vm::Value>> shard_args(shard_vms.size());
-        for (size_t s = 0; s < shard_vms.size(); ++s) {
-            std::vector<vm::Value>& args = shard_args[s];
-            args.emplace_back(ids);
-            args.emplace_back(lens);
-            args.emplace_back(cu);
-            args.emplace_back(table);
-            for (const NDArray& pool : kv.poolTensors((int)s)) {
-                args.emplace_back(pool);
-            }
-            for (const NDArray& w : shardWeights_[s]) {
-                args.emplace_back(w);
-            }
-        }
-        std::vector<vm::Value> results = vm::VirtualMachine::invokeLockstep(
-            shard_vms, *group_, "decode_ragged", shard_args);
-        auto out = std::get<vm::TupleValuePtr>(results[0]);
-        return std::get<NDArray>(out->fields[0]);
+    std::vector<std::vector<vm::Value>> args(model.ranks.size());
+    for (size_t s = 0; s < args.size(); ++s) {
+        const std::vector<NDArray>& pools = kv.poolTensors((int)s);
+        args[s].reserve(4 + pools.size() + model.weights[s].size());
+        args[s] = {ids, lens, cu, table};
+        args[s].insert(args[s].end(), pools.begin(), pools.end());
+        args[s].insert(args[s].end(), model.weights[s].begin(),
+                       model.weights[s].end());
     }
-
-    std::vector<vm::Value> args;
-    args.emplace_back(std::move(ids));
-    args.emplace_back(std::move(lens));
-    args.emplace_back(std::move(cu));
-    args.emplace_back(std::move(table));
-    for (const NDArray& pool : kv.poolTensors()) args.emplace_back(pool);
-    args.reserve(args.size() + weights.size());
-    for (const NDArray& w : weights) args.emplace_back(w);
-    auto out = std::get<vm::TupleValuePtr>(
-        vm.invoke("decode_ragged", std::move(args)));
+    // Rank 0's result carries the full logits (a sharded model's
+    // all_gather materializes them on every rank).
+    std::vector<vm::Value> results = vm::VirtualMachine::invokeLockstep(
+        model.rankVms(), model.group, "decode_ragged", args);
+    auto out = std::get<vm::TupleValuePtr>(results[0]);
     return std::get<NDArray>(out->fields[0]);
-}
-
-NDArray
-Engine::invokeRagged(const std::vector<SequenceStatePtr>& batch,
-                     const std::vector<std::vector<int64_t>>& tokens)
-{
-    std::vector<RequestId> order;
-    order.reserve(batch.size());
-    for (const SequenceStatePtr& seq : batch) {
-        order.push_back(seq->request.id);
-    }
-    return invokeRaggedOn(*machine_, *kv_, weights_, order, tokens);
 }
 
 void
@@ -496,6 +441,8 @@ Engine::proposeDrafts(const std::vector<SequenceStatePtr>& rows,
                       const std::map<RequestId, int64_t>& spec_k,
                       std::map<RequestId, SpecPlan>& plans)
 {
+    Model& draft = models_.back();
+    KVCacheManager& draft_kv = *draft.kv;
     // --- catch-up: the draft pool may lag the target's committed
     // context (just-admitted rows, the bonus token of an all-accept
     // step, re-admission after eviction). Replay each row's token
@@ -510,7 +457,7 @@ Engine::proposeDrafts(const std::vector<SequenceStatePtr>& rows,
         int64_t total = 0;
         for (const SequenceStatePtr& seq : rows) {
             RequestId id = seq->request.id;
-            int64_t have = draftKv_->committedTokens(id);
+            int64_t have = draft_kv.committedTokens(id);
             int64_t want = seq->ctxLen;
             if (have >= want || total >= cap) continue;
             int64_t take = std::min(want - have, cap - total);
@@ -519,15 +466,14 @@ Engine::proposeDrafts(const std::vector<SequenceStatePtr>& rows,
                                 stream.begin() + have + take);
             order.push_back(id);
             new_commits.push_back(have + take);
-            draftKv_->reserveWrite(id, have + take, have);
+            draft_kv.reserveWrite(id, have + take, have);
             total += take;
         }
         if (order.empty()) break;
-        invokeRaggedOn(*draftMachine_, *draftKv_, draftWeights_, order,
-                       chunks);
+        invokeRagged(draft, order, chunks);
         ++stats_.draftCalls;
         for (size_t i = 0; i < order.size(); ++i) {
-            draftKv_->commit(order[i], new_commits[i]);
+            draft_kv.commit(order[i], new_commits[i]);
         }
     }
 
@@ -548,43 +494,42 @@ Engine::proposeDrafts(const std::vector<SequenceStatePtr>& rows,
             const SpecPlan& plan = plans[id];
             int64_t tok = j == 0 ? seq->generated.back()
                                  : plan.drafts.back();
-            draftKv_->reserveWrite(id, seq->ctxLen + j + 1,
-                                   seq->ctxLen + j);
+            draft_kv.reserveWrite(id, seq->ctxLen + j + 1,
+                                  seq->ctxLen + j);
             order.push_back(id);
             toks.push_back({tok});
             call_rows.push_back(seq);
         }
         if (order.empty()) break;
-        NDArray logits = invokeRaggedOn(*draftMachine_, *draftKv_,
-                                        draftWeights_, order, toks);
+        NDArray logits = invokeRagged(draft, order, toks);
         ++stats_.draftCalls;
         for (size_t r = 0; r < order.size(); ++r) {
             SpecPlan& plan = plans[order[r]];
             // One fresh token per row, so row r's logits sit at packed
             // position r (== cu[r + 1] - 1).
-            if (machine_->dataMode()) {
+            if (machine().dataMode()) {
                 plan.drafts.push_back(
-                    draftSampler_.samplePacked(logits, (int64_t)r));
+                    draft.sampler.samplePacked(logits, (int64_t)r));
                 if (options_.sampler.topK > 1) {
                     plan.probs.push_back(
-                        draftSampler_.topKProbs(logits, (int64_t)r));
+                        draft.sampler.topKProbs(logits, (int64_t)r));
                 }
             } else {
                 plan.drafts.push_back(
-                    draftSampler_.sampleSynthetic(config_.vocabSize));
+                    draft.sampler.sampleSynthetic(config_.vocabSize));
             }
-            draftKv_->commit(order[r], call_rows[r]->ctxLen + j + 1);
+            draft_kv.commit(order[r], call_rows[r]->ctxLen + j + 1);
         }
     }
 
-    TraceRecorder& trace = machine_->dev().trace();
+    TraceRecorder& trace = machine().dev().trace();
     if (trace.enabled()) {
         for (const SequenceStatePtr& seq : rows) {
             auto it = plans.find(seq->request.id);
             if (it == plans.end()) continue;
             trace.instant(trace_lanes::kEngine, trace_lanes::kSpeculation,
                           "propose", "speculation",
-                          machine_->dev().clockUs(),
+                          machine().dev().clockUs(),
                           {{"request", seq->request.id},
                            {"tokens", (int64_t)it->second.drafts.size()}});
         }
@@ -595,10 +540,10 @@ bool
 Engine::step()
 {
     if (!hasPendingWork()) return false;
-    double clock_before = machine_->dev().clockUs();
+    double clock_before = machine().dev().clockUs();
 
     std::vector<SequenceStatePtr> admitted =
-        scheduler_.admit(*kv_, (int64_t)running_.size());
+        scheduler_.admit(kv(), (int64_t)running_.size());
     for (const SequenceStatePtr& seq : admitted) {
         seq->admitSeq = nextAdmitSeq_++;
         running_.push_back(seq);
@@ -616,13 +561,13 @@ Engine::step()
     // pages in the same step pay one burst launch, not b.
     std::map<RequestId, int64_t> spec_k;
     std::vector<SequenceStatePtr> members = running_;
-    kv_->beginCowBatch();
+    kv().beginCowBatch();
     for (const SequenceStatePtr& seq : members) {
         bool is_admitted = std::find(admitted.begin(), admitted.end(),
                                      seq) != admitted.end();
         if (is_admitted) {
             ensureWritable(seq, seq->prefillLength(),
-                           kv_->committedTokens(seq->request.id));
+                           kv().committedTokens(seq->request.id));
             continue;
         }
         int64_t k_row = 0;
@@ -637,7 +582,7 @@ Engine::step()
             k_row = std::min(k_row, config_.maxContext - seq->ctxLen - 1);
             k_row = std::max<int64_t>(k_row, 0);
             while (k_row > 0 &&
-                   !kv_->canHoldWrite(seq->request.id,
+                   !kv().canHoldWrite(seq->request.id,
                                       seq->ctxLen + 1 + k_row,
                                       seq->ctxLen)) {
                 --k_row;
@@ -646,7 +591,7 @@ Engine::step()
         ensureWritable(seq, seq->ctxLen + 1 + k_row, seq->ctxLen);
         if (k_row > 0) spec_k[seq->request.id] = k_row;
     }
-    kv_->flushCowBatch();
+    kv().flushCowBatch();
 
     // Draft proposals for the rows that survived the reservation sweep
     // (eviction may have reclaimed some).
@@ -675,7 +620,7 @@ Engine::step()
                                       seq) != admitted.end();
         if (admitted_now) {
             std::vector<int64_t> all = seq->prefillTokens();
-            int64_t start = kv_->committedTokens(seq->request.id);
+            int64_t start = kv().committedTokens(seq->request.id);
             tokens.emplace_back(all.begin() + start, all.end());
         } else {
             std::vector<int64_t> fresh{seq->generated.back()};
@@ -691,7 +636,12 @@ Engine::step()
     }
     if (batch.empty()) return false;
 
-    NDArray logits = invokeRagged(batch, tokens);
+    std::vector<RequestId> order;
+    order.reserve(batch.size());
+    for (const SequenceStatePtr& seq : batch) {
+        order.push_back(seq->request.id);
+    }
+    NDArray logits = invokeRagged(models_.front(), order, tokens);
     ++stats_.decodeBatches; // one packed call per step, by construction
     bool any_prefill =
         std::find(is_prefill.begin(), is_prefill.end(), true) !=
@@ -702,13 +652,13 @@ Engine::step()
         // that measure the steady-state replay win.
         ++stats_.prefillBatches;
     } else {
-        stats_.decodeGraphBegins += machine_->lastRunStats().graphBegins;
+        stats_.decodeGraphBegins += machine().lastRunStats().graphBegins;
         stats_.decodeGraphReplays +=
-            machine_->lastRunStats().graphReplays;
+            machine().lastRunStats().graphReplays;
     }
 
-    TraceRecorder& trace = machine_->dev().trace();
-    double clock_after = machine_->dev().clockUs();
+    TraceRecorder& trace = machine().dev().trace();
+    double clock_after = machine().dev().clockUs();
     int64_t packed_end = 0;
     for (size_t row = 0; row < batch.size(); ++row) {
         const SequenceStatePtr& seq = batch[row];
@@ -724,12 +674,12 @@ Engine::step()
         }
         if (is_prefill[row]) {
             seq->ctxLen = seq->prefillLength();
-            kv_->commit(id, seq->ctxLen);
+            kv().commit(id, seq->ctxLen);
             seq->stats.prefillTokens += fresh;
             stats_.prefillTokens += fresh;
             // Register the freshly committed page-aligned blocks in the
             // prefix index so later duplicate prompts match them.
-            kv_->registerCommitted(id, seq->prefillTokens());
+            kv().registerCommitted(id, seq->prefillTokens());
             appendToken(seq, sampleFor(logits, packed_end - 1));
             continue;
         }
@@ -738,7 +688,7 @@ Engine::step()
             // Plain decode row (speculation off, or this row's window
             // collapsed to zero).
             seq->ctxLen += 1;
-            kv_->commit(id, seq->ctxLen);
+            kv().commit(id, seq->ctxLen);
             appendToken(seq, sampleFor(logits, packed_end - 1));
             continue;
         }
@@ -756,13 +706,14 @@ Engine::step()
                           {{"request", id}, {"proposed", k_row}});
         }
         SpecAcceptance acc;
-        if (machine_->dataMode()) {
-            acc = sampler_.acceptDrafts(logits, packed_start, plan.drafts,
-                                        plan.probs);
+        Sampler& sampler = models_.front().sampler;
+        if (machine().dataMode()) {
+            acc = sampler.acceptDrafts(logits, packed_start, plan.drafts,
+                                       plan.probs);
         } else {
-            acc.accepted = sampler_.sampleSyntheticAcceptance(
+            acc.accepted = sampler.sampleSyntheticAcceptance(
                 k_row, options_.speculation.syntheticAcceptanceRate);
-            acc.next = sampler_.sampleSynthetic(config_.vocabSize);
+            acc.next = sampler.sampleSynthetic(config_.vocabSize);
         }
         stats_.specProposed += k_row;
         stats_.specAccepted += acc.accepted;
@@ -771,43 +722,43 @@ Engine::step()
              i <= acc.accepted && seq->phase == RequestPhase::kRunning;
              ++i) {
             seq->ctxLen += 1;
-            kv_->commit(id, seq->ctxLen);
+            kv().commit(id, seq->ctxLen);
             appendToken(seq, i < acc.accepted ? plan.drafts[i] : acc.next);
         }
         if (trace.enabled()) {
             trace.instant(trace_lanes::kEngine, trace_lanes::kSpeculation,
                           "accept", "speculation",
-                          machine_->dev().clockUs(),
+                          machine().dev().clockUs(),
                           {{"request", id},
                            {"proposed", k_row},
                            {"accepted", acc.accepted}});
         }
         if (seq->phase == RequestPhase::kRunning) {
             // Rejected drafts leave K/V junk past the committed length
-            // and surplus reserved pages: return whole pages and drop
-            // any index entry the rewind invalidated. The draft cache
-            // rewinds to the accepted stream the same way (clamped to a
-            // no-op when every draft survived).
-            kv_->truncate(id, seq->ctxLen);
-            draftKv_->truncate(id, seq->ctxLen);
+            // and surplus reserved pages: every model's cache returns
+            // whole pages and drops any index entry the rewind
+            // invalidated (the draft's is clamped to a no-op when every
+            // draft survived).
+            for (Model& model : models_) {
+                model.kv->truncate(id, seq->ctxLen);
+            }
         }
     }
 
     ++stats_.steps;
-    stats_.busyUs += machine_->dev().clockUs() - clock_before;
+    stats_.busyUs += machine().dev().clockUs() - clock_before;
 
     // Per-step gauge sampling (always on: the metrics snapshot).
-    meters_.usedPages->sample((double)kv_->usedPages());
-    meters_.freePages->sample((double)kv_->freePages());
-    meters_.occupancy->sample(kv_->totalPages() > 0
-                                  ? (double)kv_->usedPages() /
-                                        (double)kv_->totalPages()
+    meters_.usedPages->sample((double)kv().usedPages());
+    meters_.freePages->sample((double)kv().freePages());
+    meters_.occupancy->sample(kv().totalPages() > 0
+                                  ? (double)kv().usedPages() /
+                                        (double)kv().totalPages()
                                   : 0.0);
     meters_.running->sample((double)running_.size());
     meters_.replayHitRate->sample(stats_.decodeReplayHitRate());
     for (int i = 0; i < tensorParallel(); ++i) {
-        device::SimDevice& dev =
-            group_ ? group_->device(i) : machine_->dev();
+        device::SimDevice& dev = group_->device(i);
         meters_.deviceAlloc[i]->sample((double)dev.allocatedBytes());
         meters_.devicePeak[i]->sample((double)dev.peakBytes());
     }
@@ -824,8 +775,8 @@ Engine::step()
                     {"mixed", (int64_t)(any_prefill ? 1 : 0)}});
         trace.counter(trace_lanes::kEngine, trace_lanes::kKvPool,
                       "kv_pages", clock_after,
-                      {{"used", kv_->usedPages()},
-                       {"free", kv_->freePages()}});
+                      {{"used", kv().usedPages()},
+                       {"free", kv().freePages()}});
     }
     return true;
 }
@@ -838,7 +789,7 @@ Engine::run()
             RELAX_THROW(RuntimeError)
                 << "serving stalled: " << scheduler_.waitingCount()
                 << " waiting request(s) cannot fit the KV budget ("
-                << kv_->budgetBytes() << " bytes)";
+                << kv().budgetBytes() << " bytes)";
         }
     }
     return stats_;
@@ -849,8 +800,9 @@ Engine::snapshotJson(std::ostream& os) const
 {
     // Counters are read from their only store at export time.
     auto kv_sum = [this](int64_t (KVCacheManager::*tally)() const) {
-        int64_t sum = ((*kv_).*tally)();
-        return draftKv_ ? sum + ((*draftKv_).*tally)() : sum;
+        int64_t sum = 0;
+        for (const Model& model : models_) sum += ((*model.kv).*tally)();
+        return sum;
     };
     std::map<std::string, int64_t> counters = {
         {"kv.cow_copies", kv_sum(&KVCacheManager::cowCopies)},

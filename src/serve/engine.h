@@ -23,8 +23,8 @@
  * KV manager indexes committed page-aligned blocks by chained content
  * hash, and admission maps a new request onto any indexed pages whose
  * verified content matches its prompt (KVCacheManager::matchPrefix) —
- * no fork hint from the caller, refcounts + copy-on-write keep writers
- * private exactly as explicit forks did.
+ * no hint from the caller; refcounts + copy-on-write keep writers
+ * private.
  *
  * build() compiles the executable with the graph-capture bucket equal to
  * the KV block size, so the decode shape signature moves only when the
@@ -35,18 +35,27 @@
  * re-prefill prompt+generated on re-admission (re-matching whatever
  * prefix is still indexed), so outputs are preserved exactly.
  *
- * enableSpeculation() attaches a draft model (a second LlamaConfig with
- * its own weights, VM and KV pool on the shared device; own graph
- * keyspace so the two VMs never cross-replay captures). Decoding rows
- * then run propose/verify/accept per step: the draft proposes k tokens,
- * the target verifies pending+drafts as one packed n=k+1 row inside the
- * SAME step call (the prefill-chunk shape — decodeBatches == steps is
- * preserved; draft calls count in EngineStats::draftCalls), and the
- * Sampler accepts a prefix (greedy: longest argmax match + bonus token,
- * token-identical to sequential greedy; top-k: rejection sampling,
- * target-distribution preserving). Rejected tokens rewind both pools
- * via KVCacheManager::truncate; a step's COW copies price as one burst
- * launch. docs/DESIGN.md §8 is the contract.
+ * The engine serves every model through one route. The target and the
+ * speculative draft are two instances of one per-model record (rank VMs,
+ * per-rank weights, KV pool, sampler), and each packed call reaches the
+ * VM through vm::VirtualMachine::invokeLockstep over the model's ranks.
+ * The target's ranks are the devices of its DeviceGroup: one device at
+ * tensor parallelism 1, N ShardPass'd ranks joined by priced collectives
+ * at N (DESIGN.md §10).
+ *
+ * enableSpeculation() attaches the draft (a second LlamaConfig with its
+ * own weights, one VM on the target's device 0 and its own KV pool; own
+ * graph keyspace so the two models never cross-replay captures).
+ * Decoding rows then run propose/verify/accept per step: the draft
+ * proposes k tokens, the target verifies pending+drafts as one packed
+ * n=k+1 row inside the SAME step call (the prefill-chunk shape —
+ * decodeBatches == steps is preserved; draft calls count in
+ * EngineStats::draftCalls), and the Sampler accepts a prefix (greedy:
+ * longest argmax match + bonus token, token-identical to sequential
+ * greedy; top-k: rejection sampling, target-distribution preserving).
+ * Rejected tokens rewind both pools via KVCacheManager::truncate; a
+ * step's COW copies price as one burst launch. docs/DESIGN.md §8 is the
+ * contract.
  *
  * Works in both VM modes: data mode samples real logits (correctness
  * tests, examples); timing mode advances the simulated device clock with
@@ -116,16 +125,17 @@ struct EngineOptions
     /** Cache positions per KV page (pool block size). */
     int64_t kvBlockTokens = 16;
     /**
-     * Tensor-parallel shard count. 1 (the default) is the single-device
-     * engine, byte-identical to before the option existed. N > 1 makes
-     * Engine::build compile `decode_ragged` through ShardPass, stand up
-     * an N-device DeviceGroup joined by `interconnect`, shard the
-     * weights and KV pools Megatron-style and run every step's packed
-     * call in instruction lockstep with priced ring collectives (two
-     * all-reduces per layer plus a logits all-gather). Scheduling state
-     * — KV budget, admission, eviction — stays in logical full-model
-     * units, so the emitted token streams are identical to tp=1 and
-     * `decodeBatches == steps` still holds. DESIGN.md §10.
+     * Tensor-parallel shard count: the size of the DeviceGroup the
+     * target model runs on, 1 (the default) being a one-device group.
+     * Every degree takes the same call path. N > 1 makes Engine::build
+     * compile `decode_ragged` through ShardPass, join the N devices by
+     * `interconnect`, shard the weights and KV pools Megatron-style and
+     * run every step's packed call in instruction lockstep with priced
+     * ring collectives (two all-reduces per layer plus a logits
+     * all-gather). Scheduling state — KV budget, admission, eviction —
+     * stays in logical full-model units, so the emitted token streams
+     * are identical at every N and `decodeBatches == steps` still holds.
+     * DESIGN.md §10.
      */
     int64_t tensorParallel = 1;
     /** Interconnect for the device group ("nvlink", "pcie_gen4"). */
@@ -197,25 +207,24 @@ class Engine
 {
   public:
     /**
-     * @param exec      compiled executable with `prefill`, `decode` and
-     *                  the pool-addressed `decode_ragged`
-     * @param dev       simulated device the VM runs on
+     * @param exec      compiled executable with the pool-addressed
+     *                  `decode_ragged`; a ShardPass build for
+     *                  group->size() shards when the group has more than
+     *                  one device
+     * @param group     the devices the target model runs on, one rank VM
+     *                  each; a one-device group is the single-device
+     *                  engine. Device 0 carries the engine's clock and
+     *                  trace and also runs the draft model.
      * @param data_mode true: real tensors + logits sampling; false:
      *                  metadata-only timing mode
      * @param config    model config (cache geometry, vocab)
      * @param weights   FULL-model parameter tensors in builder order
-     *                  (data or metadata matching `data_mode`); under
-     *                  tensor parallelism the engine slices them into
-     *                  per-shard sets itself
-     * @param group     tensor-parallel device group; null (default) is
-     *                  the single-device engine. When set, `exec` must
-     *                  be a ShardPass build for group->size() shards and
-     *                  `dev` must be the group's device 0.
+     *                  (data or metadata matching `data_mode`); the
+     *                  engine slices them into per-rank sets itself
      */
-    Engine(vm::ExecutablePtr exec, std::shared_ptr<device::SimDevice> dev,
+    Engine(vm::ExecutablePtr exec, std::shared_ptr<device::DeviceGroup> group,
            bool data_mode, frontend::LlamaConfig config,
-           std::vector<NDArray> weights, EngineOptions options = {},
-           std::shared_ptr<device::DeviceGroup> group = nullptr);
+           std::vector<NDArray> weights, EngineOptions options = {});
 
     /**
      * Compiles `config` for `options.device` and builds a ready engine.
@@ -234,18 +243,19 @@ class Engine
      * Attaches the draft model for speculative decoding:
      * `options.speculation` must have been configured (draftTokens > 0,
      * draftConfig set) at construction so the KV budget accounted for the
-     * draft's footprint. The draft VM shares the engine's device — one
-     * virtual clock, one VRAM pool — with its captured-graph keys
-     * namespaced apart, and its KV pool is sized to the full addressable
-     * envelope so draft reservations never evict. Engine::build calls
-     * this automatically; direct-constructor callers (tests, fuzz
-     * harnesses) pass their own compiled draft executable and weights.
+     * draft's footprint. The draft VM runs on the group's device 0 — one
+     * virtual clock, one VRAM pool with the target — with its
+     * captured-graph keys namespaced apart, and its KV pool is sized to
+     * the full addressable envelope so draft reservations never evict.
+     * Engine::build calls this automatically; direct-constructor callers
+     * (tests, fuzz harnesses) pass their own compiled draft executable
+     * and weights.
      */
     void enableSpeculation(vm::ExecutablePtr draft_exec,
                            std::vector<NDArray> draft_weights);
 
     /** True once a draft model is attached and draftTokens > 0. */
-    bool speculationEnabled() const { return draftMachine_ != nullptr; }
+    bool speculationEnabled() const { return models_.size() > 1; }
 
     /**
      * Queues a generation request; returns its id. Prompts longer than
@@ -315,19 +325,49 @@ class Engine
      *  from EngineStats, kv.* summed over the target and draft pools. */
     void snapshotJson(std::ostream& os) const;
 
-    KVCacheManager& kv() { return *kv_; }
+    /** The target model's KV pool. */
+    KVCacheManager& kv() { return *models_.front().kv; }
     /** The draft model's KV pool (null until enableSpeculation()). */
-    KVCacheManager* draftKv() { return draftKv_.get(); }
-    vm::VirtualMachine& machine() { return *machine_; }
-    /** The draft model's VM (null until enableSpeculation()). */
-    vm::VirtualMachine* draftMachine() { return draftMachine_.get(); }
+    KVCacheManager*
+    draftKv()
+    {
+        return speculationEnabled() ? models_.back().kv.get() : nullptr;
+    }
+    /** The target's rank-0 VM, on the group's device 0. */
+    vm::VirtualMachine& machine() { return *models_.front().ranks.front(); }
     const frontend::LlamaConfig& config() const { return config_; }
-    /** The tensor-parallel device group (null for tp=1 engines). */
+    /** The target's device group (one device at tensorParallel() 1). */
     device::DeviceGroup* deviceGroup() { return group_.get(); }
-    /** Tensor-parallel shard count (1 for single-device engines). */
-    int tensorParallel() const { return group_ ? group_->size() : 1; }
+    /** Tensor-parallel shard count: the device group's size. */
+    int tensorParallel() const { return group_->size(); }
 
   private:
+    /**
+     * One served model: its rank VMs (one per device it spans, all
+     * running one executable), each rank's weights, its KV page pool and
+     * its sampler. The target and the draft are two instances, so every
+     * packed call takes the same route (invokeRagged).
+     */
+    struct Model
+    {
+        Model(device::DeviceGroup* group, const SamplerOptions& sampler)
+            : group(group), sampler(sampler)
+        {
+        }
+
+        /** Prices the ranks' collectives; null for the draft, which runs
+         *  alone on the target's device 0 and has none. */
+        device::DeviceGroup* group;
+        std::vector<std::unique_ptr<vm::VirtualMachine>> ranks;
+        std::vector<std::vector<NDArray>> weights; //!< per rank
+        /** Declared after `ranks`, so it releases its pools first. */
+        std::unique_ptr<KVCacheManager> kv;
+        /** Per model, so draft sampling never perturbs the target's rng. */
+        Sampler sampler;
+
+        std::vector<vm::VirtualMachine*> rankVms() const;
+    };
+
     /** Per-row speculation state for one step: the proposed draft tokens
      *  and (top-k sampling only) the draft distribution each was drawn
      *  from, for the rejection-sampling acceptance ratio. */
@@ -338,20 +378,14 @@ class Engine
     };
 
     /**
-     * Issues the step's single packed `decode_ragged` call over `batch`:
+     * One packed `decode_ragged` call of `model` over the rows `order`:
      * ids [1, total] is the concatenation of the per-row `tokens`,
      * cu_fresh [b+1] their cumulative offsets, lens/table views from the
-     * KV manager, pools and weights appended. Returns the packed logits
-     * [1, total, vocab].
+     * model's KV manager, each rank's pools and weights appended. Returns
+     * the packed logits [1, total, vocab].
      */
-    NDArray invokeRagged(const std::vector<SequenceStatePtr>& batch,
+    NDArray invokeRagged(Model& model, const std::vector<RequestId>& order,
                          const std::vector<std::vector<int64_t>>& tokens);
-    /** The packed-varlen call on an arbitrary (VM, KV pool, weights)
-     *  triple — the target and the draft share this marshalling. */
-    NDArray invokeRaggedOn(vm::VirtualMachine& vm, KVCacheManager& kv,
-                           const std::vector<NDArray>& weights,
-                           const std::vector<RequestId>& order,
-                           const std::vector<std::vector<int64_t>>& tokens);
     /**
      * Runs the draft model for this step's speculating rows: first
      * catch-up calls replaying each row's token stream into the draft
@@ -379,24 +413,10 @@ class Engine
 
     frontend::LlamaConfig config_;
     EngineOptions options_;
-    std::unique_ptr<vm::VirtualMachine> machine_;
-    // Tensor parallelism: the device group, the shard VMs for ranks
-    // 1..N-1 (rank 0 is machine_; all share one executable) and the
-    // per-rank weight sets sliced from the full weights.
     std::shared_ptr<device::DeviceGroup> group_;
-    std::vector<std::unique_ptr<vm::VirtualMachine>> shardMachines_;
-    std::vector<std::vector<NDArray>> shardWeights_;
-    std::unique_ptr<KVCacheManager> kv_;
+    /** [0] the target; [1] the draft once enableSpeculation() ran. */
+    std::vector<Model> models_;
     Scheduler scheduler_;
-    Sampler sampler_;
-    std::vector<NDArray> weights_;
-    // Speculative decoding: the draft model's VM (same device, own
-    // graph keyspace), weights, KV pool and sampler (a separate rng so
-    // draft sampling never perturbs the target's stream).
-    std::unique_ptr<vm::VirtualMachine> draftMachine_;
-    std::unique_ptr<KVCacheManager> draftKv_;
-    std::vector<NDArray> draftWeights_;
-    Sampler draftSampler_;
     std::vector<SequenceStatePtr> running_;
     std::vector<SequenceStatePtr> finished_;
     EngineStats stats_;

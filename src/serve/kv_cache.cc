@@ -1,7 +1,7 @@
 /**
  * @file
  * KVCacheManager implementation: the resident page pool, the free-list /
- * refcount page lifecycle (reserve, fork, copy-on-write, release), the
+ * refcount page lifecycle (reserve, copy-on-write, release), the
  * chained-hash prefix-caching index (matchPrefix / registerCommitted),
  * and the lengths/block-table views the ragged kernels consume (see
  * kv_cache.h).
@@ -319,28 +319,7 @@ KVCacheManager::flushCowBatch()
 }
 
 void
-KVCacheManager::fork(RequestId parent, RequestId child, int64_t tokens)
-{
-    auto parent_it = sequences_.find(parent);
-    if (parent_it == sequences_.end()) return;
-    tokens = std::min(tokens, parent_it->second.committed);
-    if (tokens <= 0) return;
-    RELAX_ICHECK(sequences_.find(child) == sequences_.end())
-        << "fork target " << child << " already holds pages";
-    Sequence& state = sequences_[child];
-    int64_t npages = blocksFor(tokens);
-    RELAX_ICHECK(npages <= (int64_t)parent_it->second.pages.size())
-        << "fork range exceeds parent's pages";
-    state.pages.assign(parent_it->second.pages.begin(),
-                       parent_it->second.pages.begin() + npages);
-    for (int64_t page : state.pages) ++refCounts_[page];
-    state.tokens = tokens;
-    state.committed = tokens;
-    ++forks_;
-}
-
-void
-KVCacheManager::dropFork(RequestId child)
+KVCacheManager::dropMatch(RequestId child)
 {
     auto it = sequences_.find(child);
     if (it == sequences_.end()) return;
@@ -349,7 +328,6 @@ KVCacheManager::dropFork(RequestId child)
         prefixTokensMatched_ -= it->second.matched;
     }
     release(child);
-    --forks_;
 }
 
 namespace {
@@ -459,7 +437,6 @@ KVCacheManager::matchPrefix(RequestId child,
     state.committed = state.tokens;
     state.blockHashes = std::move(hashes);
     state.matched = state.tokens;
-    ++forks_;
     ++prefixHits_;
     prefixTokensMatched_ += state.tokens;
     TraceRecorder& trace = machine_.dev().trace();

@@ -10,15 +10,13 @@
  * and per-page reference counts:
  *
  *  - reserve/release move pages between sequences and the free list;
- *  - fork() maps a child sequence onto the pages holding a parent's
- *    committed prefix (refcount++, zero copies) — shared-system-prompt
- *    serving;
  *  - automatic prefix caching: registerCommitted() records each full
  *    page-aligned block of a sequence's committed prompt in a
  *    hash→page index under a chained content hash, and matchPrefix()
  *    maps a new sequence onto every indexed page whose token content
  *    (verified byte-for-byte, never trusted from the hash alone)
- *    extends its matched chain — no fork_of hint required;
+ *    extends its matched chain (refcount++, zero copies) — shared
+ *    system prompts are served once;
  *  - reserveWrite() enforces copy-on-write: before a sequence writes a
  *    page whose refcount exceeds one, the page is copied to a fresh one
  *    on the device (priced on the simulated clock) and the writer's
@@ -165,23 +163,13 @@ class KVCacheManager
     int64_t flushCowBatch();
 
     /**
-     * Maps `child` (which must hold no pages) onto the pages backing the
-     * first `tokens` committed positions of `parent`: refcounts rise, no
-     * data moves, and `child`'s committed length becomes `tokens`.
-     * Clamped to parent's committed length; a no-op (child stays
-     * unknown) when the parent is unknown or the clamp reaches zero.
-     */
-    void fork(RequestId parent, RequestId child, int64_t tokens);
-
-    /**
-     * Undoes a speculative fork whose admission fell through before any
+     * Undoes a matchPrefix() whose admission fell through before any
      * reservation: drops `child`'s references like release() and takes
-     * the fork back out of forkCount() — and a matchPrefix() share back
-     * out of prefixHits() and prefixTokensMatched() — so the statistics
-     * report only shares that actually admitted. No-op when `child` is
-     * unknown (including forks that degraded to no-ops).
+     * the share back out of prefixHits() and prefixTokensMatched(), so
+     * the statistics report only shares that actually admitted. No-op
+     * when `child` is unknown (including probes that matched nothing).
      */
-    void dropFork(RequestId child);
+    void dropMatch(RequestId child);
 
     /**
      * Automatic prefix caching — the detection half: walks `tokens`
@@ -195,8 +183,7 @@ class KVCacheManager
      * always prefills at least one token itself (the position producing
      * its first logits). Returns the matched token count (a multiple of
      * blockTokens(), 0 when nothing matched); on a match the child's
-     * committed length equals the return value and forkCount() rises,
-     * exactly as an explicit fork() would.
+     * committed length equals the return value and prefixHits() rises.
      */
     int64_t matchPrefix(RequestId child, const std::vector<int64_t>& tokens);
 
@@ -279,8 +266,6 @@ class KVCacheManager
     // The only store of these tallies: Engine::snapshotJson() exports them
     // as the kv.* counters, summed over the target and draft pools.
 
-    /** fork() / matchPrefix() calls that actually mapped shared pages. */
-    int64_t forkCount() const { return forks_; }
     /** Copy-on-write page copies performed (device-priced). */
     int64_t cowCopies() const { return cowCopies_; }
     /** Device bytes moved by copy-on-write page copies. */
@@ -337,7 +322,6 @@ class KVCacheManager
     int64_t totalBlocks_;
     int64_t usedBlocks_ = 0;
     int64_t peakBlocks_ = 0;
-    int64_t forks_ = 0;
     int64_t cowCopies_ = 0;
     int64_t truncates_ = 0;
     bool cowBatchActive_ = false;   //!< inside begin/flushCowBatch()

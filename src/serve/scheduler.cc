@@ -73,7 +73,7 @@ Scheduler::admit(KVCacheManager& kv, int64_t runningCount)
         // Stop at the first misfit: admitting someone behind a blocked
         // head would starve large requests under memory pressure.
         if (!fits) {
-            kv.dropFork(seq->request.id); // undo a speculative fork
+            kv.dropMatch(seq->request.id); // undo this attempt's match
             break;
         }
         kv.reserve(seq->request.id, tokens);

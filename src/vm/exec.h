@@ -12,9 +12,11 @@
 
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/module.h"
+#include "tir/analysis.h"
 
 namespace relax {
 namespace vm {
@@ -101,6 +103,16 @@ struct VMFunction
     std::vector<Instr> instrs;
 };
 
+/** A generated-kernel call site resolved for launch: the tensor program
+ *  it runs and that program's symbolic cost on the device roofline. */
+struct KernelSite
+{
+    tir::PrimFunc func;
+    PrimExpr flops;
+    PrimExpr bytes;
+    tir::PatternKind kind;
+};
+
 /** A compiled module: functions plus the tensor programs they launch. */
 class Executable
 {
@@ -108,6 +120,18 @@ class Executable
     std::map<std::string, VMFunction> functions;
     /** Kernel bodies (interpreted as the stand-in for GPU codegen). */
     ir::IRModulePtr module;
+
+    /**
+     * The site of generated-kernel call `instr` (one of this
+     * executable's instructions), resolved on its first launch and
+     * shared by every VM running the executable. The cache lives exactly
+     * as long as the executable, so a destroyed executable pins no
+     * tensor program.
+     */
+    const KernelSite& kernelSite(const Instr& instr) const;
+
+  private:
+    mutable std::unordered_map<const Instr*, KernelSite> kernelSites_;
 };
 
 using ExecutablePtr = std::shared_ptr<Executable>;

@@ -12,6 +12,11 @@
  *  - flashattn.attention never materializes the score matrix, so its
  *    memory traffic is only q+k+v+out (the FlashAttention property);
  *  - cutlass fused norms behave like tuned elementwise kernels.
+ *
+ * No `ccl.*` collective is registered here: a collective needs every
+ * shard of its device group, so VirtualMachine::invokeLockstep prices and
+ * materializes it at the call site, and reaching one without a group is
+ * an error.
  */
 #include <algorithm>
 #include <cmath>
@@ -286,53 +291,6 @@ registerKvCache(LibraryRegistry& registry)
 }
 
 void
-registerCollectives(LibraryRegistry& registry)
-{
-    // ccl.* sites are normally intercepted by the lockstep multi-VM
-    // driver (VirtualMachine::invokeLockstep), which rendezvouses the
-    // shards and prices the ring transfer on the DeviceGroup link. These
-    // registry entries are the single-VM fallback so a tensor-parallel
-    // executable still executes standalone (pass unit tests, debugging):
-    // one resident shard contributes its own slice — all_reduce passes
-    // the partial through and all_gather tiles it — which is only the
-    // true full value when the executable was compiled with tp=1.
-    LibraryKernel reduce;
-    reduce.cost = [](const std::vector<NDArray>& args, const ir::Attrs&,
-                     const device::DeviceSpec& spec) {
-        device::KernelCost cost;
-        cost.bytes = 2.0 * (double)args.back().sizeBytes();
-        cost.flops = 0.0;
-        cost.efficiency = spec.genElemwiseEfficiency;
-        return cost;
-    };
-    reduce.compute = [](std::vector<NDArray>& args, const ir::Attrs&) {
-        const auto& in = args[0].data();
-        auto& out = args.back().data();
-        std::copy(in.begin(), in.end(), out.begin());
-    };
-    registry.registerKernel("ccl.all_reduce", reduce);
-
-    LibraryKernel gather = reduce;
-    gather.compute = [](std::vector<NDArray>& args, const ir::Attrs&) {
-        // Concatenation along the last dim; with one resident shard the
-        // local chunk fills every slot.
-        const NDArray& in = args[0];
-        NDArray& out = args.back();
-        int64_t chunk = in.shape().back();
-        int64_t full = out.shape().back();
-        int64_t rows = in.numel() / chunk;
-        for (int64_t r = 0; r < rows; ++r) {
-            for (int64_t off = 0; off < full; off += chunk) {
-                for (int64_t j = 0; j < chunk; ++j) {
-                    out.set(r * full + off + j, in.at(r * chunk + j));
-                }
-            }
-        }
-    };
-    registry.registerKernel("ccl.all_gather", gather);
-}
-
-void
 registerBuiltins(LibraryRegistry& registry)
 {
     // unique: data-dependent output; allocates its own result (appended).
@@ -372,7 +330,6 @@ ensureLibrariesRegistered()
         registerRaggedAttention(registry, "flashattn.attention_ragged");
         registerNorms(registry, "cutlass");
         registerKvCache(registry);
-        registerCollectives(registry);
         registerBuiltins(registry);
         return true;
     }();

@@ -1,15 +1,16 @@
 /**
  * @file
- * The virtual machine: the library-kernel registry, the per-instruction
+ * The virtual machine: the library-kernel registry, the executor loop
+ * (invokeLockstep — invoke() is its one-VM case), the per-instruction
  * executors (MatchShape / AllocStorage / AllocTensor / KernelCall /
- * PackedCall), and the timing-mode path that prices generated kernels
- * on the device roofline (costExprsOf + generatedKernelEfficiency).
+ * PackedCall), and the path that prices generated kernels on the device
+ * roofline (Executable::kernelSite + generatedKernelEfficiency).
  */
 #include "vm/vm.h"
-#include <cstdlib>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <sstream>
 
 #include "device/interconnect.h"
@@ -150,15 +151,6 @@ asTensorValue(Value& value, const char* what)
     return *array;
 }
 
-/** Cached per-kernel cost expressions. */
-struct KernelCostExprs
-{
-    PrimExpr flops;
-    PrimExpr bytes;
-    tir::PatternKind kind;
-    tir::PrimFunc pin; //!< keeps the node alive so addresses never recycle
-};
-
 /**
  * Stand-in for `array` at the padded shape: metadata-only normally, but
  * integer host tensors (e.g. the ragged length vector — the only data
@@ -187,42 +179,22 @@ padForPricing(const NDArray& array, std::vector<int64_t> padded_shape)
     return padded;
 }
 
-const KernelCostExprs&
-costExprsOf(const tir::PrimFunc& func)
-{
-    static std::map<const tir::PrimFuncNode*, KernelCostExprs> cache;
-    auto [it, inserted] = cache.emplace(func.get(), KernelCostExprs{});
-    if (inserted) {
-        it->second.pin = func;
-        tir::TensorProgramCost cost = tir::analyzeCost(func);
-        it->second.flops = cost.flops;
-        it->second.bytes = cost.bytes;
-        auto attr = func->attrs.find(tir::kComputePatternAttr);
-        it->second.kind = attr != func->attrs.end()
-                              ? tir::patternKindFromName(attr->second)
-                              : tir::analyzePatternKind(func);
-    }
-    return it->second;
-}
-
 /** Efficiency class of a generated kernel on the given device. */
 double
-generatedKernelEfficiency(const KernelCostExprs& cost,
-                          const tir::PrimFunc& func,
-                          const VarBinding& binding,
+generatedKernelEfficiency(const KernelSite& site, const VarBinding& binding,
                           const device::DeviceSpec& spec)
 {
-    bool has_fma = cost.kind == tir::PatternKind::kOutputEwiseFusible;
+    bool has_fma = site.kind == tir::PatternKind::kOutputEwiseFusible;
     if (!has_fma) {
         // Fused kernels lose their single-op classification; detect a
         // matmul core by arithmetic intensity instead.
-        double flops = (double)evalInt(cost.flops, binding);
-        double bytes = (double)evalInt(cost.bytes, binding);
+        double flops = (double)evalInt(site.flops, binding);
+        double bytes = (double)evalInt(site.bytes, binding);
         has_fma = bytes > 0 && flops / bytes > 16.0;
     }
     if (!has_fma) return spec.genElemwiseEfficiency;
     // Matrix-vector (single output row) uses the tuned gemv schedule.
-    const tir::Buffer& out = func->params.back();
+    const tir::Buffer& out = site.func->params.back();
     int64_t rows = 1;
     for (size_t d = 0; d + 1 < out->shape.size(); ++d) {
         rows *= evalInt(out->shape[d], binding);
@@ -231,6 +203,24 @@ generatedKernelEfficiency(const KernelCostExprs& cost,
 }
 
 } // namespace
+
+const KernelSite&
+Executable::kernelSite(const Instr& instr) const
+{
+    auto [it, inserted] = kernelSites_.try_emplace(&instr);
+    KernelSite& site = it->second;
+    if (inserted) {
+        site.func = module->getTIRFunc(instr.callee);
+        tir::TensorProgramCost cost = tir::analyzeCost(site.func);
+        site.flops = cost.flops;
+        site.bytes = cost.bytes;
+        auto attr = site.func->attrs.find(tir::kComputePatternAttr);
+        site.kind = attr != site.func->attrs.end()
+                        ? tir::patternKindFromName(attr->second)
+                        : tir::analyzePatternKind(site.func);
+    }
+    return site;
+}
 
 struct Executor
 {
@@ -246,10 +236,10 @@ struct Executor
     // frame span in the vm lane.
     double graphStartTs_ = 0.0;
     bool graphReplay_ = false;
-    std::string graphSignature_;
+    std::string graphSignature_ = {};
     int64_t openGraphId_ = -1;
     /** The kRet value, once executed. */
-    Value result_;
+    Value result_ = {};
 
     /** Executes one instruction against the frame. */
     void step(const Instr& instr, Frame& frame, const std::string& fn);
@@ -299,8 +289,8 @@ findFunction(const ExecutablePtr& exec, const std::string& name,
     return it->second;
 }
 
-/** Frame teardown shared by invoke() and invokeLockstep(): returns pool
- *  allocations, computes the RunStats deltas and emits the frame span. */
+/** Frame teardown: returns pool allocations, computes the RunStats
+ *  deltas and emits the frame span. */
 void
 finishFrame(Frame& frame, const std::string& name,
             const CounterSnapshot& snap, device::SimDevice& device,
@@ -333,12 +323,12 @@ finishFrame(Frame& frame, const std::string& name,
 /**
  * The lockstep collective rendezvous. Every shard has reached the same
  * `ccl.*` call site with its DPS out tensor allocated; the group prices
- * ONE ring collective (a barrier plus transfer time on every member) in
- * place of the per-shard fallback kernels. In data mode the driver then
- * materializes the semantics across the shards: all_reduce left-folds
- * the partial sums in rank order (deterministic reassociation) and
- * writes the total to every shard; all_gather concatenates the
- * shard-local chunks along the last dim into every shard's out.
+ * ONE ring collective (a barrier plus transfer time on every member). In
+ * data mode the driver then materializes the semantics across the
+ * shards: all_reduce left-folds the partial sums in rank order
+ * (deterministic reassociation) and writes the total to every shard;
+ * all_gather concatenates the shard-local chunks along the last dim into
+ * every shard's out.
  */
 void
 lockstepCollective(const Instr& instr, device::DeviceGroup& group,
@@ -420,33 +410,18 @@ Value
 VirtualMachine::invoke(const std::string& name,
                        const std::vector<Value>& args)
 {
-    const VMFunction& func = findFunction(exec_, name, args.size());
-    Executor executor{exec_,      device_,   dataMode_,
-                      staticStorages_, freePool_, graphKeyspace_};
-
-    CounterSnapshot snap = snapshotCounters(*device_);
-    Frame frame;
-    frame.regs.resize(func.numRegs);
-    for (size_t i = 0; i < args.size(); ++i) frame.regs[i] = args[i];
-
-    for (const Instr& instr : func.instrs) {
-        executor.step(instr, frame, name);
-    }
-
-    finishFrame(frame, name, snap, *device_, freePool_, lastStats_,
-                graphStats_);
-    return executor.result_;
+    return invokeLockstep({this}, nullptr, name, {args})[0];
 }
 
 std::vector<Value>
 VirtualMachine::invokeLockstep(const std::vector<VirtualMachine*>& shards,
-                               device::DeviceGroup& group,
+                               device::DeviceGroup* group,
                                const std::string& name,
                                const std::vector<std::vector<Value>>& args)
 {
     RELAX_ICHECK(!shards.empty() && args.size() == shards.size())
         << "lockstep: one argument list per shard";
-    RELAX_ICHECK((int)shards.size() == group.size())
+    RELAX_ICHECK(!group || (int)shards.size() == group->size())
         << "lockstep: shard count must match the device group";
     const ExecutablePtr& exec = shards[0]->exec_;
     for (VirtualMachine* shard : shards) {
@@ -479,12 +454,20 @@ VirtualMachine::invokeLockstep(const std::vector<VirtualMachine*>& shards,
 
     // Instruction-outer, shard-inner: every shard executes instruction k
     // before any shard executes k+1, so all shards reach each `ccl.*`
-    // site together — the rendezvous replaces the per-shard fallback
-    // kernel with one priced group collective.
+    // site together and the group prices one collective there. Without
+    // a group there is no other shard to reduce with, so a collective
+    // is an error, never one shard's partial value.
     for (const Instr& instr : func.instrs) {
         if (instr.op == Instr::Op::kKernelCall && instr.isLibrary &&
             instr.callee.rfind("ccl.", 0) == 0) {
-            lockstepCollective(instr, group, frames, data_mode);
+            if (!group) {
+                RELAX_THROW(RuntimeError)
+                    << name << ": collective '" << instr.callee
+                    << "' reached without a device group (a sharded "
+                       "executable runs only under invokeLockstep with "
+                       "its group)";
+            }
+            lockstepCollective(instr, *group, frames, data_mode);
             continue;
         }
         for (size_t s = 0; s < n; ++s) {
@@ -756,12 +739,12 @@ Executor::execKernelCall(const Instr& instr, Frame& frame)
         }
         return;
     }
-    tir::PrimFunc func = exec->module->getTIRFunc(instr.callee);
+    const KernelSite& site = exec->kernelSite(instr);
     std::vector<int64_t> sym_args;
     for (const auto& expr : instr.symExprs) {
         sym_args.push_back(evalInt(expr, frame.symbols));
     }
-    VarBinding binding = tir::bindShapes(func, args, sym_args);
+    VarBinding binding = tir::bindShapes(site.func, args, sym_args);
     // Inside a bucketed graph region the captured graph's kernels are
     // launched at the bucket-ceiling shapes (padded, with masking), so
     // cost is priced at the padded binding. TIR kernels share their
@@ -780,23 +763,16 @@ Executor::execKernelCall(const Instr& instr, Frame& frame)
         }
         priced = &padded_binding;
     }
-    const KernelCostExprs& cost = costExprsOf(func);
     device::KernelCost kernel_cost;
-    kernel_cost.flops = (double)evalInt(cost.flops, *priced);
-    kernel_cost.bytes = (double)evalInt(cost.bytes, *priced);
-    kernel_cost.efficiency = generatedKernelEfficiency(
-        cost, func, *priced, device_->spec());
-    double latency =
-        device_->launchKernel(kernel_cost, instr.callee.c_str());
-    if (getenv("RELAX_DEBUG_KERNELS") && latency > 1000.0) {
-        fprintf(stderr, "SLOW %s: %.2f ms flops=%.3g bytes=%.3g eff=%.2f\n",
-                instr.callee.c_str(), latency / 1e3, kernel_cost.flops,
-                kernel_cost.bytes, kernel_cost.efficiency);
-    }
+    kernel_cost.flops = (double)evalInt(site.flops, *priced);
+    kernel_cost.bytes = (double)evalInt(site.bytes, *priced);
+    kernel_cost.efficiency =
+        generatedKernelEfficiency(site, *priced, device_->spec());
+    device_->launchKernel(kernel_cost, instr.callee.c_str());
     if (dataMode_) {
-        tir::run(func, args, sym_args);
+        tir::run(site.func, args, sym_args);
         if (alias_check) {
-            tir::run(func, ref_args, sym_args);
+            tir::run(site.func, ref_args, sym_args);
             diffAliasedRun(instr, args, ref_args);
         }
     }

@@ -1,7 +1,9 @@
 /**
  * @file
  * The Relax virtual machine: executes compiled modules on a simulated
- * device. Two execution modes share one code path:
+ * device. One executor loop, invokeLockstep, runs a function on one VM or
+ * in lockstep across the VMs of a tensor-parallel device group; invoke()
+ * is its one-VM case. Two execution modes share that loop:
  *  - data mode: kernels run on the reference interpreter with real
  *    tensors (tests, examples);
  *  - timing mode: tensors are metadata-only and only shapes, memory
@@ -126,27 +128,30 @@ class VirtualMachine
         ensureLibrariesRegistered();
     }
 
-    /** Invokes a compiled function. */
+    /**
+     * Invokes a compiled function on this VM alone: invokeLockstep over
+     * {this} with no device group, so a `ccl.*` site throws.
+     */
     Value invoke(const std::string& name, const std::vector<Value>& args);
 
     /**
-     * Runs one compiled function across N shard VMs in instruction
-     * lockstep — the tensor-parallel execution mode. All shards must
-     * share one executable (ShardPass emits a single per-shard program);
-     * shard s runs on its own device with its own argument list, and
-     * every `ccl.*` library call becomes a rendezvous: instead of the
-     * single-VM fallback kernel, the group prices one ring collective
-     * (barrier + transfer on every member) and, in data mode, the
-     * driver materializes the collective's semantics across the shards
-     * (rank-order left-fold sum for all_reduce, last-dim concat for
-     * all_gather) so results are deterministic. Collectives do not
-     * count as kernel launches and are graph-capture-insensitive.
-     * Returns shard s's result in slot s; per-shard RunStats are
-     * updated exactly as for invoke().
+     * The VM's executor loop: runs one compiled function across the
+     * shard VMs in instruction lockstep. All shards must share one
+     * executable (ShardPass emits a single per-shard program); shard s
+     * runs on its own device with its own argument list. Every `ccl.*`
+     * library call is a rendezvous at which `group` prices one ring
+     * collective (barrier + transfer on every member) and, in data mode,
+     * the driver materializes its semantics across the shards (rank-order
+     * left-fold sum for all_reduce, last-dim concat for all_gather), so
+     * results are deterministic. Collectives do not count as kernel
+     * launches and are graph-capture-insensitive. A null `group` admits
+     * no collective: a `ccl.*` site then throws RuntimeError naming it.
+     * Returns shard s's result in slot s and updates each shard's
+     * RunStats.
      */
     static std::vector<Value>
     invokeLockstep(const std::vector<VirtualMachine*>& shards,
-                   device::DeviceGroup& group, const std::string& name,
+                   device::DeviceGroup* group, const std::string& name,
                    const std::vector<std::vector<Value>>& args);
 
     /**
@@ -167,9 +172,6 @@ class VirtualMachine
     const GraphStats& graphStats() const { return graphStats_; }
 
     device::SimDevice& dev() { return *device_; }
-    /** The shared device handle — lets a second VM (a serving engine's
-     *  draft model) run on the same simulated clock and VRAM pool. */
-    std::shared_ptr<device::SimDevice> devPtr() const { return device_; }
     bool dataMode() const { return dataMode_; }
 
     /**

@@ -175,13 +175,14 @@ TEST(LibLowerTest, NoLibraryMeansNoChange)
 
 TEST(PipelineTest, RunsAllStagesWellFormed)
 {
-    auto module = buildChainModule(true);
-    TargetInfo target;
-    target.gemmLibrary = "cublas";
-    target.supportsExecutionGraphs = true;
-    SymBounds bounds{{"n", 128}};
-    Pipeline pipeline = buildDefaultPipeline(target, bounds);
-    EXPECT_NO_THROW(module = pipeline.run(module));
+    // The standard pipeline is frontend::compile's: every stage on, for
+    // a device with vendor libraries and execution graphs.
+    frontend::CompileOptions options;
+    options.device = device::rtx4090();
+    options.bounds = {{"n", 128}};
+    IRModulePtr module =
+        frontend::compile(buildChainModule(true), options)->module;
+    EXPECT_NO_THROW(wellFormed(module));
     // After lowering, main's bindings are memory + kernel ops only.
     const auto* seq = static_cast<const SeqExprNode*>(
         module->getFunction("main")->body.get());

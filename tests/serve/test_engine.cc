@@ -225,10 +225,9 @@ TEST(EngineTest, DuplicatePromptPrefixSharesPagesAutomatically)
         {
             std::vector<std::vector<int64_t>> tokens;
             std::vector<std::vector<int64_t>> prompts;
-            int64_t peakPages, forks, prefixHits, matched, relayout;
+            int64_t peakPages, prefixHits, matched, relayout;
         } result;
         result.peakPages = engine->kv().peakPages();
-        result.forks = engine->kv().forkCount();
         result.prefixHits = engine->kv().prefixHits();
         result.matched = engine->kv().prefixTokensMatched();
         result.relayout = engine->stats().relayoutBytes;
@@ -254,10 +253,8 @@ TEST(EngineTest, DuplicatePromptPrefixSharesPagesAutomatically)
     }
     // Both children matched the parent's first committed block (the
     // 6-token prefix commits one full 4-token page).
-    EXPECT_EQ(shared.forks, 2);
     EXPECT_EQ(shared.prefixHits, 2);
     EXPECT_EQ(shared.matched, 8);
-    EXPECT_EQ(distinct.forks, 0);
     EXPECT_EQ(distinct.prefixHits, 0);
     EXPECT_LT(shared.peakPages, distinct.peakPages);
     EXPECT_EQ(shared.relayout, 0);
@@ -404,7 +401,6 @@ TEST(EngineTest, DuplicateOfReleasedPrefixPrefillsInFull)
     auto results = engine->collect();
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].outputTokens, sequentialGreedy(config, child, 4));
-    EXPECT_EQ(engine->kv().forkCount(), 0);
     EXPECT_EQ(engine->kv().prefixHits(), 0);
 }
 
@@ -732,7 +728,7 @@ TEST(EngineSpecTest, MismatchedDraftStaysExactAndRollsBack)
 
 TEST(EngineSpecTest, PrefixSharedSiblingSurvivesSiblingRejections)
 {
-    // A prefix-cache fork shares pool pages between two requests while
+    // A prefix-cache match shares pool pages between two requests while
     // one of them keeps proposing (and mostly rejecting) draft tokens.
     // Rollback must stay private: the sharer's stream and the rejecter's
     // stream both match their sequential oracles exactly.
@@ -766,7 +762,6 @@ TEST(EngineSpecTest, PrefixSharedSiblingSurvivesSiblingRejections)
     // The child really did share the parent's pages (no fork hint), and
     // speculation really did reject and roll back next to it.
     EXPECT_GE(engine->kv().prefixHits(), 1);
-    EXPECT_GE(engine->kv().forkCount(), 1);
     EXPECT_GT(engine->stats().specProposed, engine->stats().specAccepted);
     EXPECT_GT(engine->draftKv()->truncateCount(), 0);
 }

@@ -294,6 +294,8 @@ runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
     int64_t total_spec_proposed = 0, total_spec_accepted = 0;
     int64_t total_truncates = 0, total_draft_calls = 0;
     int64_t total_collectives = 0;
+    const int64_t collectives_per_call =
+        tp > 1 ? 2 * config.numLayers + 1 : 0;
     std::mt19937 seed_rng(0xF00D);
     const int64_t first = half * fuzzSeedCount() / 2;
     const int64_t last = (half + 1) * fuzzSeedCount() / 2;
@@ -326,31 +328,24 @@ runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
         engine_options.kvBudgetBytes = scenario.kvBudgetBytes;
 
         for (bool with_replay : {true, false}) {
-            // tp=2 shards the target across a two-device group; the
-            // draft (when speculating) stays single-VM on shard 0, and
-            // the token streams must STILL match the tp=1 oracle —
+            // The target runs on a tp-device group (tp=2 shards it); the
+            // draft (when speculating) runs alone on device 0, and the
+            // token streams must STILL match the unsharded oracle —
             // sharding is invisible to scheduling and sampling.
-            std::shared_ptr<device::DeviceGroup> group;
-            std::shared_ptr<device::SimDevice> dev;
-            if (tp == 2) {
-                group = std::make_shared<device::DeviceGroup>(
-                    hostSpec(with_replay), 2,
-                    device::interconnectByName("nvlink"));
-                dev = group->devicePtr(0);
-            } else {
-                dev = std::make_shared<device::SimDevice>(
-                    hostSpec(with_replay));
-            }
+            auto group = std::make_shared<device::DeviceGroup>(
+                hostSpec(with_replay), (int)tp,
+                device::interconnectByName("nvlink"));
+            device::SimDevice& dev = group->device(0);
             // Tracing on for every seed: the token oracle below then
             // also pins the observation-only invariant (recording may
             // not change any token), and each trace must be well
             // nested.
-            dev->trace().enable();
+            dev.trace().enable();
             EngineOptions variant_options = engine_options;
             variant_options.speculation.draftTokens = spec_k;
             variant_options.speculation.draftConfig = config;
-            Engine engine(exec[with_replay], dev, /*data_mode=*/true, config,
-                          weights, variant_options, group);
+            Engine engine(exec[with_replay], group, /*data_mode=*/true,
+                          config, weights, variant_options);
             if (spec_k > 0) {
                 engine.enableSpeculation(draft_exec[with_replay],
                                          round % 2 == 0
@@ -423,16 +418,15 @@ runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
                 << "seed=" << seed;
             ragged_steps += engine.stats().steps;
             ragged_decode_calls += engine.stats().decodeBatches;
-            if (tp == 2) {
-                // Every sharded packed call paid its collectives: two
-                // all_reduces per layer plus the logits all_gather.
-                EXPECT_EQ(group->collectiveCount(),
-                          engine.stats().steps *
-                              (2 * config.numLayers + 1))
-                    << "seed=" << seed << " replay=" << with_replay;
-                EXPECT_GT(group->collectiveUs(), 0.0) << "seed=" << seed;
-                total_collectives += group->collectiveCount();
-            }
+            // Every sharded packed call paid its collectives: two
+            // all_reduces per layer plus the logits all_gather; an
+            // unsharded call has none.
+            EXPECT_EQ(group->collectiveCount(),
+                      engine.stats().steps * collectives_per_call)
+                << "seed=" << seed << " replay=" << with_replay;
+            EXPECT_EQ(group->collectiveUs() > 0.0, tp > 1)
+                << "seed=" << seed;
+            total_collectives += group->collectiveCount();
 
             // Tallies against ground truth the harness reads off
             // collect(): every submitted request finished, the token
@@ -477,10 +471,10 @@ runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
 
             // Structural trace invariant: per-lane 'X' spans nest.
             std::string nest_error;
-            EXPECT_TRUE(dev->trace().wellNested(&nest_error))
+            EXPECT_TRUE(dev.trace().wellNested(&nest_error))
                 << "seed=" << seed << " replay=" << with_replay << ": "
                 << nest_error;
-            EXPECT_FALSE(dev->trace().events().empty())
+            EXPECT_FALSE(dev.trace().events().empty())
                 << "seed=" << seed;
         }
     }
@@ -497,9 +491,7 @@ runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
     EXPECT_GT(ragged_decode_calls, 0);
     EXPECT_EQ(ragged_decode_calls, ragged_steps);
     // The tp=2 axis really ran sharded (and paid for its collectives).
-    if (tp == 2) {
-        EXPECT_GT(total_collectives, 0);
-    }
+    EXPECT_EQ(total_collectives > 0, tp > 1);
     // The speculation axis must have exercised both regimes: drafts were
     // proposed, some were accepted (the identical-draft rounds), and
     // some were rejected hard enough to roll KV state back.

@@ -1,7 +1,7 @@
 /**
  * @file
  * KVCacheManager tests: page-pool geometry, the resident upfront pool
- * allocation, the reserve/fork/copy-on-write/release page lifecycle,
+ * allocation, the reserve/match/copy-on-write/release page lifecycle,
  * budget enforcement, and that the byte accounting always matches pool
  * occupancy (used + free pages == the whole pool).
  */
@@ -32,6 +32,17 @@ struct Fixture
     {
     }
 };
+
+/** Prefills `seq` with `prompt` and indexes its full blocks: the state a
+ *  finished prefill leaves for matchPrefix() to share. */
+void
+prefillAndRegister(KVCacheManager& kv, RequestId seq,
+                   const std::vector<int64_t>& prompt)
+{
+    kv.reserve(seq, (int64_t)prompt.size());
+    kv.commit(seq, (int64_t)prompt.size());
+    kv.registerCommitted(seq, prompt);
+}
 
 TEST(KVCacheTest, BlockGeometry)
 {
@@ -171,58 +182,63 @@ TEST(KVCacheTest, RaggedViewsExposeLengthsAndBlockTable)
     EXPECT_EQ((int64_t)table.at(5), -1);
 }
 
-TEST(KVCacheTest, ForkSharesPagesByRefcount)
+TEST(KVCacheTest, MatchedPrefixSharesPagesByRefcount)
 {
     Fixture fx;
     KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
-    kv.reserve(1, 8); // pages 0, 1
-    kv.commit(1, 7);
+    std::vector<int64_t> prompt = {3, 1, 4, 1, 5, 9, 2, 6};
+    prefillAndRegister(kv, 1, prompt); // pages 0, 1
 
-    // Child maps onto the pages of the parent's first 6 committed
-    // positions: both pages shared, zero new pages in use.
-    kv.fork(1, 2, 6);
-    EXPECT_EQ(kv.forkCount(), 1);
+    // A child whose prompt extends the parent's maps onto both of its
+    // pages: zero new pages in use, identical table rows.
+    std::vector<int64_t> longer = prompt;
+    longer.push_back(5);
+    EXPECT_EQ(kv.matchPrefix(2, longer), 8);
+    EXPECT_EQ(kv.prefixHits(), 1);
     EXPECT_EQ(kv.usedPages(), 2);
     EXPECT_EQ(kv.pagesOf(2), 2);
-    EXPECT_EQ(kv.committedTokens(2), 6);
+    EXPECT_EQ(kv.committedTokens(2), 8);
     NDArray table = kv.blockTableView({1, 2}, 2);
     EXPECT_EQ((int64_t)table.at(0), (int64_t)table.at(2));
     EXPECT_EQ((int64_t)table.at(1), (int64_t)table.at(3));
 
-    // Fork clamps to the parent's committed positions.
-    kv.fork(1, 3, 100);
-    EXPECT_EQ(kv.committedTokens(3), 7);
+    // A second child sharing only the first block.
+    EXPECT_EQ(kv.matchPrefix(3, {3, 1, 4, 1, 7}), 4);
+    EXPECT_EQ(kv.prefixHits(), 2);
 
     // Releasing the parent keeps shared pages alive for the children.
     kv.release(1);
     EXPECT_EQ(kv.usedPages(), 2);
     kv.release(2);
-    EXPECT_EQ(kv.usedPages(), 2); // seq 3 still references both
+    EXPECT_EQ(kv.usedPages(), 1); // seq 3 still references page 0
     kv.release(3);
     EXPECT_EQ(kv.usedPages(), 0);
 
-    // Forking from an unknown parent is a no-op (graceful degradation).
-    kv.fork(42, 5, 4);
+    // With every holder gone nothing is indexed: a probe degrades to no
+    // share and leaves the child unknown.
+    EXPECT_EQ(kv.matchPrefix(5, longer), 0);
     EXPECT_EQ(kv.pagesOf(5), 0);
-    EXPECT_EQ(kv.forkCount(), 2);
+    EXPECT_EQ(kv.prefixHits(), 2);
 }
 
 TEST(KVCacheTest, CopyOnWriteUnsharesTheWriteRange)
 {
     Fixture fx;
     KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
-    kv.reserve(1, 6); // pages 0, 1; position 5 is mid-page
-    kv.commit(1, 6);
+    std::vector<int64_t> prompt = {2, 7, 1, 8, 2, 8, 1, 8};
+    prefillAndRegister(kv, 1, prompt); // pages 0, 1
     // Poison page 1 so the copy is observable: pool row of page 1.
     NDArray pool = kv.poolTensors()[0];
     int64_t row = pool.numel() / kv.totalPages();
     for (int64_t i = 0; i < row; ++i) pool.set(1 * row + i, 42.0);
 
-    kv.fork(1, 2, 6); // two children share pages 0 and 1
-    kv.fork(1, 3, 6); // (partial last page in both forks)
+    std::vector<int64_t> longer = prompt;
+    longer.push_back(0);
+    kv.matchPrefix(2, longer); // two children share pages 0 and 1
+    kv.matchPrefix(3, longer);
     int64_t launches_before = fx.dev->kernelLaunches();
 
-    // The parent's next append writes position 6 inside shared page 1:
+    // The parent rewrites position 6 inside shared page 1:
     // copy-on-write gives the writer a private copy, priced on the
     // device clock, and repoints only the writer's table row.
     EXPECT_TRUE(kv.canHoldWrite(1, 7, 6));
@@ -262,10 +278,12 @@ TEST(KVCacheTest, CanHoldWriteCountsCowPages)
     Fixture fx;
     // Pool of exactly 3 pages.
     KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 3, 4);
-    kv.reserve(1, 8); // pages 0, 1
-    kv.commit(1, 6);
-    kv.fork(1, 2, 6); // both pages shared; 1 page free
-    kv.reserve(3, 4); // takes the last free page
+    std::vector<int64_t> prompt = {1, 1, 2, 3, 5, 8, 1, 3};
+    prefillAndRegister(kv, 1, prompt); // pages 0, 1
+    std::vector<int64_t> longer = prompt;
+    longer.push_back(2);
+    kv.matchPrefix(2, longer); // both pages shared; 1 page free
+    kv.reserve(3, 4);          // takes the last free page
     // The parent's write at position 6 needs one COW page, and none is
     // free — canHoldWrite must say so instead of letting reserveWrite
     // run the pool dry mid-copy.
@@ -305,14 +323,13 @@ TEST(KVCacheTest, PrefixIndexLifecycleMatchForkThenCowOnDivergence)
     EXPECT_EQ(kv.indexedBlocks(), 2);
 
     // A duplicate prompt with a fresh tail matches both blocks and maps
-    // straight onto seq 1's pages — a fork in refcount terms, no copies.
+    // straight onto seq 1's pages — refcounts rise, no copies.
     std::vector<int64_t> duplicate = prompt;
     duplicate.push_back(8);
     EXPECT_EQ(kv.matchPrefix(2, duplicate), 8);
     EXPECT_EQ(kv.committedTokens(2), 8);
     EXPECT_EQ(kv.pagesOf(2), 2);
     EXPECT_EQ(kv.usedPages(), 2); // fully shared
-    EXPECT_EQ(kv.forkCount(), 1);
     EXPECT_EQ(kv.prefixHits(), 1);
     EXPECT_EQ(kv.prefixTokensMatched(), 8);
     NDArray tables = kv.blockTableView({1, 2}, 2);
@@ -340,7 +357,7 @@ TEST(KVCacheTest, PrefixIndexLifecycleMatchForkThenCowOnDivergence)
     EXPECT_EQ(kv.indexedBlocks(), 0);
 }
 
-TEST(KVCacheTest, DropForkTakesBackPrefixMatchTallies)
+TEST(KVCacheTest, DropMatchTakesBackPrefixMatchTallies)
 {
     // The scheduler matches a waiting head at every admission attempt and
     // drops the match when the head does not fit: only the match that
@@ -353,16 +370,14 @@ TEST(KVCacheTest, DropForkTakesBackPrefixMatchTallies)
     kv.registerCommitted(1, prompt);
     for (int attempt = 0; attempt < 2; ++attempt) {
         ASSERT_EQ(kv.matchPrefix(2, prompt), 8);
-        kv.dropFork(2);
+        kv.dropMatch(2);
         EXPECT_EQ(kv.pagesOf(2), 0);
-        EXPECT_EQ(kv.forkCount(), 0);
         EXPECT_EQ(kv.prefixHits(), 0);
         EXPECT_EQ(kv.prefixTokensMatched(), 0);
     }
-    // The explicit fork path has no match to take back.
-    kv.fork(1, 3, 4);
-    kv.dropFork(3);
-    EXPECT_EQ(kv.forkCount(), 0);
+    // A probe that matched nothing leaves nothing to take back.
+    EXPECT_EQ(kv.matchPrefix(3, {9, 9, 9, 9, 9}), 0);
+    kv.dropMatch(3);
     EXPECT_EQ(kv.prefixHits(), 0);
     EXPECT_EQ(kv.usedPages(), 2);
 }
@@ -575,13 +590,15 @@ TEST(KVCacheTest, CowBatchPricesOneBurstLaunch)
     // launch per page.
     Fixture fx;
     KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
-    kv.reserve(1, 6); // pages 0, 1; position 5 mid-page
-    kv.commit(1, 6);
+    std::vector<int64_t> prompt = {6, 0, 2, 2, 1, 4, 0, 7};
+    prefillAndRegister(kv, 1, prompt); // pages 0, 1
     NDArray pool = kv.poolTensors()[0];
     int64_t row = pool.numel() / kv.totalPages();
     for (int64_t i = 0; i < row; ++i) pool.set(1 * row + i, 42.0);
-    kv.fork(1, 2, 6);
-    kv.fork(1, 3, 6);
+    std::vector<int64_t> longer = prompt;
+    longer.push_back(1);
+    kv.matchPrefix(2, longer);
+    kv.matchPrefix(3, longer);
 
     int64_t launches_before = fx.dev->kernelLaunches();
     kv.beginCowBatch();

@@ -104,6 +104,19 @@ TEST(TensorParallelTest, ShardedTokensMatchSingleDevice)
     }
 }
 
+TEST(TensorParallelTest, SingleDeviceEngineIsAOneDeviceGroup)
+{
+    // tp=1 takes the sharded engine's call path over a group of one:
+    // the group is always there, and its only device is the one the
+    // engine's VM, clock and trace run on.
+    auto engine = Engine::build(LlamaConfig::tiny(), hostOptions(),
+                                /*data_mode=*/true);
+    ASSERT_NE(engine->deviceGroup(), nullptr);
+    EXPECT_EQ(engine->deviceGroup()->size(), 1);
+    EXPECT_EQ(engine->tensorParallel(), 1);
+    EXPECT_EQ(&engine->deviceGroup()->device(0), &engine->machine().dev());
+}
+
 TEST(TensorParallelTest, PerDeviceGaugesCoverEveryShard)
 {
     EngineStats stats;

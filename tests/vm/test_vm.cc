@@ -2,13 +2,16 @@
  * @file
  * VM tests: codegen of lowered modules, execution in data and timing
  * modes, runtime shape checks, static storage caching, graph
- * capture/replay, and library dispatch equivalence.
+ * capture/replay, library dispatch equivalence, the refusal of a
+ * collective outside a device group, and the kernel cost cache's
+ * lifetime.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "frontend/compile.h"
+#include "frontend/llama.h"
 #include "op/ops.h"
 #include "shape/block_builder.h"
 #include "vm/vm.h"
@@ -279,6 +282,67 @@ TEST(VMTest, RaggedAttentionLibraryPricesPerSequence)
     device::KernelCost bucketed = cost_with(
         {0, 10, 2, 5, 0, 0}, {0, 4, 5, 8, 9, 0, 0}, 9);
     EXPECT_DOUBLE_EQ(bucketed.flops, packed.flops);
+}
+
+TEST(VMTest, CollectiveWithoutDeviceGroupThrows)
+{
+    // A ShardPass'd executable reduces partial sums at its `ccl.*` sites,
+    // which need every shard of a device group. Plain invoke() runs one
+    // VM with no group, so it must refuse instead of returning one
+    // shard's partial value as the full one.
+    frontend::LlamaConfig config = frontend::LlamaConfig::tiny();
+    frontend::CompileOptions options;
+    options.device = hostDevice()->spec();
+    options.tensorParallel = 2;
+    ExecutablePtr exec =
+        frontend::compile(frontend::buildLlama(config), options);
+    VirtualMachine machine(exec, hostDevice(), /*data_mode=*/true);
+    // One row of three fresh tokens over a one-page block table.
+    std::vector<Value> args{
+        NDArray::fromVector({1, 3}, DataType::i64(), {1, 2, 3}),
+        NDArray::fromVector({1}, DataType::i64(), {0}),
+        NDArray::fromVector({2}, DataType::i64(), {0, 3}),
+        NDArray::fromVector({1, 1}, DataType::i64(), {0})};
+    for (int64_t i = 0; i < 2 * config.numLayers; ++i) {
+        args.emplace_back(NDArray::zeros(
+            {2, config.numHeads / 2, 4, config.headDim}, DataType::f16()));
+    }
+    for (const NDArray& w : frontend::shardLlamaWeights(
+             config, frontend::makeLlamaWeights(config, true), 0, 2)) {
+        args.emplace_back(w);
+    }
+    try {
+        machine.invoke("decode_ragged", args);
+        FAIL() << "expected RuntimeError";
+    } catch (const RuntimeError& e) {
+        EXPECT_NE(std::string(e.what()).find("ccl.all_reduce"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(VMTest, DestroyedExecutablePinsNoPricedKernel)
+{
+    // Pricing a generated kernel resolves its symbolic cost once per call
+    // site. That cache belongs to the executable, so once the VM and the
+    // executable are gone no tensor program they priced stays alive.
+    std::weak_ptr<tir::PrimFuncNode> priced;
+    {
+        frontend::CompileOptions options;
+        options.device = hostDevice()->spec();
+        ExecutablePtr exec = frontend::compile(buildChain(), options);
+        VirtualMachine machine(exec, hostDevice(), /*data_mode=*/false);
+        machine.invoke("main", {NDArray::metaOnly({8, 4}, DataType::f32())});
+        ASSERT_GT(machine.lastRunStats().kernelLaunches, 0);
+        for (const Instr& instr : exec->functions.at("main").instrs) {
+            if (instr.op == Instr::Op::kKernelCall && !instr.isLibrary) {
+                priced = exec->module->getTIRFunc(instr.callee);
+                break;
+            }
+        }
+        ASSERT_FALSE(priced.expired());
+    }
+    EXPECT_TRUE(priced.expired());
 }
 
 TEST(VMTest, DisassemblyIsReadable)
