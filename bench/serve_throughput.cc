@@ -25,12 +25,12 @@
  * engine steps (the one-call-per-step invariant, now an equality),
  * when any run reports nonzero host-side cache relayout bytes (the
  * zero-relayout invariant, DESIGN.md §5), when FCFS throughput
- * regresses below the ragged baseline (256 tok/s), or when automatic
- * detection misses the duplicated system prompt or fails to save pool
- * pages and prefill tokens. The final "decode replay hit-rate after
- * warmup" line is the bucketed-capture regression guard:
- * scripts/check.sh parses it and the relayout line and fails the
- * tier-1 run on violation.
+ * regresses below the ragged baseline (256 tok/s), when the post-warmup
+ * decode replay hit-rate falls below 80% (the bucketed-capture
+ * regression guard), when in-place planning rewrites fewer than 3 sites,
+ * or when automatic detection misses the duplicated system prompt or
+ * fails to save pool pages and prefill tokens. scripts/check.sh gates on
+ * the exit status and on the JSON snapshots, never on stdout.
  *
  * Observability (DESIGN.md §7): the driver always writes a machine-
  * readable result snapshot to BENCH_serve.json (override with
@@ -473,6 +473,10 @@ main(int argc, char** argv)
     // PR-4's ragged FCFS baseline on this exact trace; the page-pool
     // refactor must not regress it.
     const double min_fcfs_toks = 256.0;
+    // Bucketed execution-graph capture: steady-state decode replays
+    // captured graphs at least this often (97.2% on this trace); lower
+    // means signature churn is forcing re-captures.
+    const double min_warm_hit_rate = 0.80;
 
     std::cout << "Serving throughput: " << config.name << " on "
               << spec.name << ", " << num_requests
@@ -604,6 +608,12 @@ main(int argc, char** argv)
     }
     std::cout << "decode replay hit-rate after warmup: "
               << TablePrinter::fmt(min_hit_rate * 100.0, 1) << "%\n";
+    if (min_hit_rate < min_warm_hit_rate) {
+        std::cerr << "FAIL: decode replay hit-rate after warmup below "
+                  << TablePrinter::fmt(min_warm_hit_rate * 100.0, 1)
+                  << "% (decode is re-capturing instead of replaying)\n";
+        return 1;
+    }
 
     // Speculative decoding sweep: the same FCFS trace with a K-token
     // draft window, across synthetic acceptance rates. Timing mode has

@@ -31,79 +31,41 @@ fi
 # repository benchmark (perf/) is smoked last.
 echo "== bench smoke: fig14 nvidia decode"
 ./bench_fig14_nvidia_decode > /dev/null
+
+# Every gate below reads an exit status or a JSON snapshot, never stdout.
+# The serving binary itself fails (exit 1) on nonzero host cache relayout
+# (DESIGN.md §5), FCFS throughput under its 256 tok/s floor, a post-warmup
+# decode replay hit-rate under 80% (bucketed capture regressed into
+# re-capturing), fewer than 3 in-place rewrites on the decode path
+# (DESIGN.md §9), and a missed or non-saving shared-prefix match.
 echo "== bench smoke: serve throughput"
-serve_out="$(./bench_serve_throughput)"
-printf '%s\n' "$serve_out"
+./bench_serve_throughput
 
-# Zero-relayout gate (DESIGN.md §5): the page-pool serving path must
-# never copy cache bytes on the host — EngineStats.relayoutBytes is a
-# tripwire that any future host-side cache stack/split/pad must
-# increment, and this gate turns tripping it into a tier-1 failure.
-relayout="$(printf '%s\n' "$serve_out" |
-  sed -n 's/^host cache relayout bytes: \([0-9]*\)$/\1/p' | tail -1)"
-if [[ -z "$relayout" ]]; then
-  echo "FAIL: bench_serve_throughput did not report relayout bytes" >&2
-  exit 1
-fi
-if [[ "$relayout" != 0 ]]; then
-  echo "FAIL: serving relayouted ${relayout} cache bytes on the host" \
-       "(page-pool decode must relayout none)" >&2
-  exit 1
-fi
-echo "zero-relayout gate passed (0 host cache bytes copied)"
-
-# Regression guard for bucketed execution-graph capture: steady-state
-# decode must replay captured graphs at the documented >= 80% post-warmup
-# rate (docs/BENCHMARKS.md). Anything lower means the serving path is
-# re-capturing instead of replaying (the pre-bucketing gap, or a
-# signature churn regression).
-min_hit_rate=80
-hit_rate="$(printf '%s\n' "$serve_out" |
-  sed -n 's/^decode replay hit-rate after warmup: \([0-9.]*\)%$/\1/p' |
-  tail -1)"
-if [[ -z "$hit_rate" ]]; then
-  echo "FAIL: bench_serve_throughput did not report a replay hit-rate" >&2
-  exit 1
-fi
-if ! awk -v rate="$hit_rate" -v min="$min_hit_rate" \
-    'BEGIN { exit (rate >= min) ? 0 : 1 }'; then
-  echo "FAIL: decode replay hit-rate after warmup is ${hit_rate}%" \
-       "(threshold ${min_hit_rate}%)" >&2
-  exit 1
-fi
-echo "decode replay hit-rate gate passed (${hit_rate}% >= ${min_hit_rate}%)"
+# json_holds EXPR FILE...: succeeds iff the Python expression EXPR holds
+# over j, the list of the parsed JSON files.
+json_holds() {
+  python3 -c 'import json, sys
+j = [json.load(open(f)) for f in sys.argv[2:]]
+sys.exit(0 if eval(sys.argv[1]) else 1)' "$@"
+}
 
 # Speculative decoding gates (DESIGN.md §8). The --spec-k run sweeps
 # synthetic acceptance rates; the binary gates the per-rate invariants
 # (one target call per step, zero relayout, pool within budget, token
-# counts unchanged). Here we pin two things on top:
-#  1. the k=0 baseline inside the speculative binary is byte-identical
-#     to the plain run's FCFS result — merely carrying the speculation
-#     machinery may not perturb the non-speculative path;
-#  2. tokens/s uplift at high acceptance is real (> 1.0x).
+# counts unchanged) and fails unless tokens/s uplift at 0.95 acceptance
+# exceeds 1.0x. Here we pin that merely carrying the speculation
+# machinery does not perturb the non-speculative path: the run's
+# "policies" results must equal the plain run's.
 echo "== bench smoke: serve throughput (speculative, k=4)"
-spec_out="$(./bench_serve_throughput --spec-k=4 --bench-json=bench_spec.json)"
-printf '%s\n' "$spec_out" | sed -n '/^speculative decoding/,$p'
-plain_fcfs="$(printf '%s\n' "$serve_out" | sed -n 's/^fcfs throughput: //p')"
-spec_fcfs="$(printf '%s\n' "$spec_out" | sed -n 's/^fcfs throughput: //p')"
-if [[ -z "$spec_fcfs" || "$spec_fcfs" != "$plain_fcfs" ]]; then
-  echo "FAIL: speculation-off baseline drifted inside the --spec-k run" \
-       "('$spec_fcfs' vs '$plain_fcfs')" >&2
+./bench_serve_throughput --spec-k=4 --bench-json=bench_spec.json |
+  sed -n '/^speculative decoding/,$p'
+if ! json_holds 'j[0]["policies"] == j[1]["policies"]' \
+    BENCH_serve.json bench_spec.json; then
+  echo "FAIL: speculation-off results drifted inside the --spec-k run" \
+       "(bench_spec.json policies differ from BENCH_serve.json)" >&2
   exit 1
 fi
-echo "speculation-off identity gate passed (k=0 FCFS: ${spec_fcfs})"
-uplift="$(printf '%s\n' "$spec_out" |
-  sed -n 's/^speculation uplift at 0.95 acceptance: \([0-9.]*\)x$/\1/p' |
-  tail -1)"
-if [[ -z "$uplift" ]]; then
-  echo "FAIL: --spec-k run did not report an uplift" >&2
-  exit 1
-fi
-if ! awk -v u="$uplift" 'BEGIN { exit (u > 1.0) ? 0 : 1 }'; then
-  echo "FAIL: speculative decoding uplift is ${uplift}x (must be > 1)" >&2
-  exit 1
-fi
-echo "speculation uplift gate passed (${uplift}x at 0.95 acceptance)"
+echo "speculation-off identity gate passed (policies equal the plain run)"
 
 # Tensor-parallel gates (DESIGN.md §10). The --tp=4 run shards the
 # serving model across four simulated devices with priced ring
@@ -120,10 +82,10 @@ if ! cmp -s BENCH_serve.json bench_tp1.json; then
   exit 1
 fi
 echo "tp=1 identity gate passed (bench JSON byte-identical to the default run)"
-tp_out="$(./bench_serve_throughput --tp=4 --bench-json=bench_tp4.json)"
-printf '%s\n' "$tp_out" | sed -n '/^tensor parallel/p'
-if ! printf '%s\n' "$tp_out" | grep -q '^tensor parallel (tp = 4'; then
-  echo "FAIL: --tp=4 run did not report a tensor-parallel result" >&2
+./bench_serve_throughput --tp=4 --bench-json=bench_tp4.json |
+  sed -n '/^tensor parallel/p'
+if ! json_holds 'j[0]["tensor_parallel"]["tp"] == 4' bench_tp4.json; then
+  echo "FAIL: bench_tp4.json holds no tensor_parallel result with tp == 4" >&2
   exit 1
 fi
 echo "tensor-parallel gates passed (speedup and collective pricing" \
@@ -160,45 +122,32 @@ for pair in "trace_a.json trace_b.json" "metrics_a.json metrics_b.json" \
 done
 echo "determinism tripwire passed (trace/metrics/bench JSON byte-identical)"
 
-if command -v python3 > /dev/null; then
-  for f in trace_a.json metrics_a.json bench_a.json bench_spec.json \
-           bench_tp4.json bench_router.json; do
-    if ! python3 -m json.tool "$f" > /dev/null; then
-      echo "FAIL: $f is not valid JSON" >&2
-      exit 1
-    fi
-  done
-  echo "exported JSON validated (trace, metrics, bench snapshot)"
-else
-  echo "python3 not found; skipping JSON schema validation"
-fi
+for f in trace_a.json metrics_a.json bench_a.json bench_spec.json \
+         bench_tp4.json bench_router.json; do
+  if ! python3 -m json.tool "$f" > /dev/null; then
+    echo "FAIL: $f is not valid JSON" >&2
+    exit 1
+  fi
+done
+echo "exported JSON validated (trace, metrics, bench snapshot)"
 
 # Aliasing-contract gates (DESIGN.md §9). The serve bench fails internally
 # when InplacePlanPass rediscovers fewer than 3 in-place rewrites on the
-# decode path; here we pin the exported plan report (Table 2 activation
-# memory tracking) and the differential instrumentation:
-#  1. the memory-plan line must be present (storages/bytes/reuse/in-place);
-#  2. RELAX_ALIAS_CHECK=1 must not perturb the timing-mode run — the
-#     shadow copy-in/copy-out reference only engages in data mode;
-#  3. the 40-seed fuzz corpus re-runs with every in-place kernel executed
+# decode path; here we pin the differential instrumentation:
+#  1. RELAX_ALIAS_CHECK=1 must not perturb the timing-mode run — the
+#     shadow copy-in/copy-out reference only engages in data mode, so
+#     its bench JSON must equal the plain run's byte for byte;
+#  2. the 40-seed fuzz corpus re-runs with every in-place kernel executed
 #     twice (aliased vs copy-in/copy-out) and bit-compared.
-plan_line="$(printf '%s\n' "$serve_out" | sed -n 's/^memory plan: //p' | tail -1)"
-if [[ -z "$plan_line" ]]; then
-  echo "FAIL: bench_serve_throughput did not report a memory plan" >&2
-  exit 1
-fi
-echo "memory plan report: ${plan_line}"
-
 echo "== bench smoke: serve throughput (RELAX_ALIAS_CHECK identity)"
-alias_out="$(RELAX_ALIAS_CHECK=1 ./bench_serve_throughput)"
-base_fcfs="$(printf '%s\n' "$serve_out" | sed -n 's/^fcfs throughput: //p')"
-alias_fcfs="$(printf '%s\n' "$alias_out" | sed -n 's/^fcfs throughput: //p')"
-if [[ -z "$alias_fcfs" || "$alias_fcfs" != "$base_fcfs" ]]; then
+RELAX_ALIAS_CHECK=1 ./bench_serve_throughput --bench-json=bench_alias.json \
+  > /dev/null
+if ! cmp -s BENCH_serve.json bench_alias.json; then
   echo "FAIL: RELAX_ALIAS_CHECK perturbed the timing-mode bench" \
-       "('$alias_fcfs' vs '$base_fcfs')" >&2
+       "(bench_alias.json differs from BENCH_serve.json)" >&2
   exit 1
 fi
-echo "alias-check identity gate passed (FCFS: ${alias_fcfs})"
+echo "alias-check identity gate passed (bench JSON byte-identical)"
 
 echo "== instrumented fuzz smoke (differential alias verification)"
 RELAX_ALIAS_CHECK=1 RELAX_VERIFY_ALIAS=1 \

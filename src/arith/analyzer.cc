@@ -257,9 +257,7 @@ class Canonicalizer
             if (auto d = den.asConst(); d && *d != 0) {
                 if (auto n = num.asConst()) {
                     Polynomial p;
-                    int64_t q = *n / *d;
-                    if ((*n % *d != 0) && ((*n < 0) != (*d < 0))) --q;
-                    p.addTerm(Monomial{}, q);
+                    p.addTerm(Monomial{}, floorDiv(*n, *d));
                     return p;
                 }
                 if (*d > 0 && num.divisibleBy(*d)) {
@@ -277,9 +275,7 @@ class Canonicalizer
             if (auto d = den.asConst(); d && *d > 0) {
                 if (auto n = num.asConst()) {
                     Polynomial p;
-                    int64_t m = *n % *d;
-                    if (m < 0) m += *d;
-                    p.addTerm(Monomial{}, m);
+                    p.addTerm(Monomial{}, floorMod(*n, *d));
                     return p;
                 }
                 if (num.divisibleBy(*d)) return Polynomial{};
@@ -466,10 +462,7 @@ Analyzer::constIntBound(const PrimExpr& expr)
             if (b.isPoint() && b.minValue > 0) {
                 int64_t d = b.minValue;
                 auto fd = [d](int64_t v) {
-                    if (isInf(v)) return v;
-                    int64_t q = v / d;
-                    if ((v % d != 0) && (v < 0)) --q;
-                    return q;
+                    return isInf(v) ? v : floorDiv(v, d);
                 };
                 return {fd(a.minValue), fd(a.maxValue)};
             }

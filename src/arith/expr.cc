@@ -14,22 +14,6 @@ namespace relax {
 
 namespace {
 
-/** Floor division matching python semantics for negative operands. */
-int64_t
-floordivImpl(int64_t a, int64_t b)
-{
-    RELAX_ICHECK(b != 0) << "floordiv by zero";
-    int64_t q = a / b;
-    if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
-    return q;
-}
-
-int64_t
-floormodImpl(int64_t a, int64_t b)
-{
-    return a - floordivImpl(a, b) * b;
-}
-
 PrimExpr
 makeBinary(ExprKind kind, PrimExpr a, PrimExpr b)
 {
@@ -65,8 +49,8 @@ tryFoldInt(ExprKind kind, const PrimExpr& a, const PrimExpr& b,
       case ExprKind::kAdd: value = *va + *vb; break;
       case ExprKind::kSub: value = *va - *vb; break;
       case ExprKind::kMul: value = *va * *vb; break;
-      case ExprKind::kFloorDiv: value = floordivImpl(*va, *vb); break;
-      case ExprKind::kFloorMod: value = floormodImpl(*va, *vb); break;
+      case ExprKind::kFloorDiv: value = floorDiv(*va, *vb); break;
+      case ExprKind::kFloorMod: value = floorMod(*va, *vb); break;
       case ExprKind::kMin: value = std::min(*va, *vb); break;
       case ExprKind::kMax: value = std::max(*va, *vb); break;
       default: return nullptr;
@@ -76,6 +60,21 @@ tryFoldInt(ExprKind kind, const PrimExpr& a, const PrimExpr& b,
 }
 
 } // namespace
+
+int64_t
+floorDiv(int64_t a, int64_t b)
+{
+    RELAX_ICHECK(b != 0) << "floordiv by zero";
+    int64_t q = a / b;
+    if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
+    return q;
+}
+
+int64_t
+floorMod(int64_t a, int64_t b)
+{
+    return a - floorDiv(a, b) * b;
+}
 
 PrimExpr
 intImm(int64_t value, DataType dtype)
@@ -228,6 +227,69 @@ PrimExpr
 callIntrin(const std::string& op, std::vector<PrimExpr> args, DataType dtype)
 {
     return std::make_shared<CallNode>(op, std::move(args), dtype);
+}
+
+Operands
+operands(const PrimExpr& expr)
+{
+    if (!expr) return {};
+    switch (expr->kind()) {
+      case ExprKind::kIntImm:
+      case ExprKind::kFloatImm:
+      case ExprKind::kVar:
+      case ExprKind::kBufferLoad:
+        return {};
+      case ExprKind::kNot:
+      case ExprKind::kCast:
+        return {&static_cast<const UnaryNode*>(expr.get())->a};
+      case ExprKind::kSelect: {
+        const auto* node = static_cast<const SelectNode*>(expr.get());
+        return {&node->cond, &node->trueValue, &node->falseValue};
+      }
+      case ExprKind::kCall:
+        return Operands(static_cast<const CallNode*>(expr.get())->args);
+      default: {
+        const auto* node = static_cast<const BinaryNode*>(expr.get());
+        return {&node->a, &node->b};
+      }
+    }
+}
+
+PrimExpr
+withOperands(const PrimExpr& expr, std::vector<PrimExpr> ops)
+{
+    RELAX_ICHECK(ops.size() == operands(expr).size())
+        << "operand count mismatch rebuilding " << toString(expr);
+    switch (expr->kind()) {
+      case ExprKind::kIntImm:
+      case ExprKind::kFloatImm:
+      case ExprKind::kVar:
+      case ExprKind::kBufferLoad:
+        return expr;
+      case ExprKind::kNot: return logicalNot(ops[0]);
+      case ExprKind::kCast: return cast(ops[0], expr->dtype());
+      case ExprKind::kSelect: return select(ops[0], ops[1], ops[2]);
+      case ExprKind::kCall:
+        return callIntrin(static_cast<const CallNode*>(expr.get())->op,
+                          std::move(ops), expr->dtype());
+      case ExprKind::kAdd: return add(ops[0], ops[1]);
+      case ExprKind::kSub: return sub(ops[0], ops[1]);
+      case ExprKind::kMul: return mul(ops[0], ops[1]);
+      case ExprKind::kDiv: return div(ops[0], ops[1]);
+      case ExprKind::kFloorDiv: return floordiv(ops[0], ops[1]);
+      case ExprKind::kFloorMod: return floormod(ops[0], ops[1]);
+      case ExprKind::kMin: return minExpr(ops[0], ops[1]);
+      case ExprKind::kMax: return maxExpr(ops[0], ops[1]);
+      case ExprKind::kEQ: return eq(ops[0], ops[1]);
+      case ExprKind::kNE: return ne(ops[0], ops[1]);
+      case ExprKind::kLT: return lt(ops[0], ops[1]);
+      case ExprKind::kLE: return le(ops[0], ops[1]);
+      case ExprKind::kGT: return gt(ops[0], ops[1]);
+      case ExprKind::kGE: return ge(ops[0], ops[1]);
+      case ExprKind::kAnd: return logicalAnd(ops[0], ops[1]);
+      case ExprKind::kOr: return logicalOr(ops[0], ops[1]);
+    }
+    return expr;
 }
 
 const int64_t*

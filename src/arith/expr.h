@@ -13,7 +13,9 @@
 #ifndef RELAX_ARITH_EXPR_H_
 #define RELAX_ARITH_EXPR_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -199,6 +201,101 @@ inline PrimExpr operator+(PrimExpr a, int64_t b) { return add(a, intImm(b)); }
 inline PrimExpr operator-(PrimExpr a, int64_t b) { return sub(a, intImm(b)); }
 inline PrimExpr operator*(PrimExpr a, int64_t b) { return mul(a, intImm(b)); }
 inline PrimExpr operator*(int64_t a, PrimExpr b) { return mul(intImm(a), b); }
+
+/** Integer floor division and modulo (Python semantics for negative
+ *  operands); a zero divisor fails an internal check. */
+int64_t floorDiv(int64_t a, int64_t b);
+int64_t floorMod(int64_t a, int64_t b);
+
+// ---------------------------------------------------------------------------
+// Traversal. operands() and withOperands() are the only code that spells
+// out which fields of a node are its operands; walkers keep just their
+// kind-specific rules.
+// ---------------------------------------------------------------------------
+
+/**
+ * A node's operands in field order, viewed in place (the node must
+ * outlive the view): a, b for the binary kinds; a for kNot and kCast;
+ * cond, trueValue, falseValue for kSelect; args for kCall. Immediates,
+ * Vars and kBufferLoad have none: arith cannot see a load's fields
+ * (tir::operandsAndIndices adds its indices).
+ */
+class Operands
+{
+  public:
+    Operands() = default;
+    /** Views a list of operands, e.g. a call's args. */
+    explicit Operands(const std::vector<PrimExpr>& list)
+        : list_(list.data()), size_(list.size()) {}
+    /** Views up to three operand fields. */
+    Operands(std::initializer_list<const PrimExpr*> fields)
+        : size_(fields.size())
+    {
+        std::copy(fields.begin(), fields.end(), fields_);
+    }
+
+    size_t size() const { return size_; }
+    const PrimExpr&
+    operator[](size_t i) const
+    {
+        return list_ ? list_[i] : *fields_[i];
+    }
+
+    class Iterator
+    {
+      public:
+        Iterator(const Operands* ops, size_t i) : ops_(ops), i_(i) {}
+        const PrimExpr& operator*() const { return (*ops_)[i_]; }
+        Iterator&
+        operator++()
+        {
+            ++i_;
+            return *this;
+        }
+        bool operator!=(const Iterator& other) const { return i_ != other.i_; }
+
+      private:
+        const Operands* ops_;
+        size_t i_;
+    };
+    Iterator begin() const { return {this, 0}; }
+    Iterator end() const { return {this, size_}; }
+
+  private:
+    const PrimExpr* list_ = nullptr;
+    const PrimExpr* fields_[3] = {};
+    size_t size_ = 0;
+};
+
+/** The operands of `expr` (none for a null handle). */
+Operands operands(const PrimExpr& expr);
+
+/**
+ * Rebuilds `expr` over new operands, given in operands() order, through
+ * the folding factories above (so the result may be a folded constant).
+ */
+PrimExpr withOperands(const PrimExpr& expr, std::vector<PrimExpr> ops);
+
+/**
+ * Maps `fn` over the operands of `expr` and rebuilds it through
+ * withOperands. Returns `expr` itself when no operand changed: the
+ * factories fold, so rebuilding an unchanged node could alter it.
+ */
+template <typename Fn>
+PrimExpr
+mapOperands(const PrimExpr& expr, Fn&& fn)
+{
+    Operands old = operands(expr);
+    if (old.size() == 0) return expr;
+    std::vector<PrimExpr> ops;
+    ops.reserve(old.size());
+    bool changed = false;
+    for (const PrimExpr& op : old) {
+        ops.push_back(fn(op));
+        changed |= ops.back() != op;
+    }
+    return changed ? withOperands(expr, std::move(ops)) : expr;
+}
 
 /** Returns the value if the expression is an integer immediate. */
 const int64_t* asIntImm(const PrimExpr& expr);

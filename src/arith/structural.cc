@@ -33,39 +33,25 @@ structuralEqual(const PrimExpr& a, const PrimExpr& b)
         return static_cast<const FloatImmNode*>(a.get())->value ==
                static_cast<const FloatImmNode*>(b.get())->value;
       case ExprKind::kVar:
-        return false; // identity compared above
-      case ExprKind::kNot:
-      case ExprKind::kCast: {
-        const auto* ua = static_cast<const UnaryNode*>(a.get());
-        const auto* ub = static_cast<const UnaryNode*>(b.get());
-        return structuralEqual(ua->a, ub->a);
-      }
-      case ExprKind::kSelect: {
-        const auto* sa = static_cast<const SelectNode*>(a.get());
-        const auto* sb = static_cast<const SelectNode*>(b.get());
-        return structuralEqual(sa->cond, sb->cond) &&
-               structuralEqual(sa->trueValue, sb->trueValue) &&
-               structuralEqual(sa->falseValue, sb->falseValue);
-      }
-      case ExprKind::kCall: {
-        const auto* ca = static_cast<const CallNode*>(a.get());
-        const auto* cb = static_cast<const CallNode*>(b.get());
-        if (ca->op != cb->op || ca->args.size() != cb->args.size()) {
+      case ExprKind::kBufferLoad:
+        // Identity compared above; tir loads are not shape expressions.
+        return false;
+      case ExprKind::kCall:
+        if (static_cast<const CallNode*>(a.get())->op !=
+            static_cast<const CallNode*>(b.get())->op) {
             return false;
         }
-        for (size_t i = 0; i < ca->args.size(); ++i) {
-            if (!structuralEqual(ca->args[i], cb->args[i])) return false;
-        }
-        return true;
-      }
-      case ExprKind::kBufferLoad:
-        return false; // identity only; tir loads are not shape expressions
-      default: {
-        const auto* ba = static_cast<const BinaryNode*>(a.get());
-        const auto* bb = static_cast<const BinaryNode*>(b.get());
-        return structuralEqual(ba->a, bb->a) && structuralEqual(ba->b, bb->b);
-      }
+        break;
+      default:
+        break;
     }
+    Operands ops_a = operands(a);
+    Operands ops_b = operands(b);
+    if (ops_a.size() != ops_b.size()) return false;
+    for (size_t i = 0; i < ops_a.size(); ++i) {
+        if (!structuralEqual(ops_a[i], ops_b[i])) return false;
+    }
+    return true;
 }
 
 size_t
@@ -84,31 +70,17 @@ structuralHash(const PrimExpr& expr)
       case ExprKind::kVar:
       case ExprKind::kBufferLoad:
         return hashCombine(seed, std::hash<const void*>()(expr.get()));
-      case ExprKind::kNot:
-      case ExprKind::kCast:
-        return hashCombine(
-            seed,
-            structuralHash(static_cast<const UnaryNode*>(expr.get())->a));
-      case ExprKind::kSelect: {
-        const auto* node = static_cast<const SelectNode*>(expr.get());
-        seed = hashCombine(seed, structuralHash(node->cond));
-        seed = hashCombine(seed, structuralHash(node->trueValue));
-        return hashCombine(seed, structuralHash(node->falseValue));
-      }
-      case ExprKind::kCall: {
-        const auto* node = static_cast<const CallNode*>(expr.get());
-        seed = hashCombine(seed, std::hash<std::string>()(node->op));
-        for (const auto& arg : node->args) {
-            seed = hashCombine(seed, structuralHash(arg));
-        }
-        return seed;
-      }
-      default: {
-        const auto* node = static_cast<const BinaryNode*>(expr.get());
-        seed = hashCombine(seed, structuralHash(node->a));
-        return hashCombine(seed, structuralHash(node->b));
-      }
+      case ExprKind::kCall:
+        seed = hashCombine(seed, std::hash<std::string>()(
+            static_cast<const CallNode*>(expr.get())->op));
+        break;
+      default:
+        break;
     }
+    for (const PrimExpr& operand : operands(expr)) {
+        seed = hashCombine(seed, structuralHash(operand));
+    }
+    return seed;
 }
 
 } // namespace relax

@@ -14,130 +14,23 @@ namespace relax {
 PrimExpr
 substitute(const PrimExpr& expr, const VarMap& map)
 {
-    if (!expr) return expr;
-    switch (expr->kind()) {
-      case ExprKind::kIntImm:
-      case ExprKind::kFloatImm:
-        return expr;
-      case ExprKind::kVar: {
+    if (expr && expr->kind() == ExprKind::kVar) {
         auto it = map.find(static_cast<const VarNode*>(expr.get()));
         return it == map.end() ? expr : it->second;
-      }
-      case ExprKind::kNot: {
-        const auto* node = static_cast<const UnaryNode*>(expr.get());
-        PrimExpr a = substitute(node->a, map);
-        return a.get() == node->a.get() ? expr : logicalNot(a);
-      }
-      case ExprKind::kCast: {
-        const auto* node = static_cast<const UnaryNode*>(expr.get());
-        PrimExpr a = substitute(node->a, map);
-        return a.get() == node->a.get() ? expr : cast(a, expr->dtype());
-      }
-      case ExprKind::kSelect: {
-        const auto* node = static_cast<const SelectNode*>(expr.get());
-        PrimExpr c = substitute(node->cond, map);
-        PrimExpr t = substitute(node->trueValue, map);
-        PrimExpr f = substitute(node->falseValue, map);
-        if (c.get() == node->cond.get() && t.get() == node->trueValue.get() &&
-            f.get() == node->falseValue.get()) {
-            return expr;
-        }
-        return select(c, t, f);
-      }
-      case ExprKind::kCall: {
-        const auto* node = static_cast<const CallNode*>(expr.get());
-        std::vector<PrimExpr> args;
-        args.reserve(node->args.size());
-        bool changed = false;
-        for (const auto& arg : node->args) {
-            args.push_back(substitute(arg, map));
-            changed |= args.back().get() != arg.get();
-        }
-        return changed ? callIntrin(node->op, std::move(args), expr->dtype())
-                       : expr;
-      }
-      case ExprKind::kBufferLoad:
-        return expr; // tir substitution handles loads separately
-      default: {
-        const auto* node = static_cast<const BinaryNode*>(expr.get());
-        PrimExpr a = substitute(node->a, map);
-        PrimExpr b = substitute(node->b, map);
-        if (a.get() == node->a.get() && b.get() == node->b.get()) return expr;
-        switch (expr->kind()) {
-          case ExprKind::kAdd: return add(a, b);
-          case ExprKind::kSub: return sub(a, b);
-          case ExprKind::kMul: return mul(a, b);
-          case ExprKind::kDiv: return div(a, b);
-          case ExprKind::kFloorDiv: return floordiv(a, b);
-          case ExprKind::kFloorMod: return floormod(a, b);
-          case ExprKind::kMin: return minExpr(a, b);
-          case ExprKind::kMax: return maxExpr(a, b);
-          case ExprKind::kEQ: return eq(a, b);
-          case ExprKind::kNE: return ne(a, b);
-          case ExprKind::kLT: return lt(a, b);
-          case ExprKind::kLE: return le(a, b);
-          case ExprKind::kGT: return gt(a, b);
-          case ExprKind::kGE: return ge(a, b);
-          case ExprKind::kAnd: return logicalAnd(a, b);
-          case ExprKind::kOr: return logicalOr(a, b);
-          default:
-            RELAX_ICHECK(false) << "unexpected binary kind";
-            return expr;
-        }
-      }
     }
+    return mapOperands(expr, [&](const PrimExpr& operand) {
+        return substitute(operand, map);
+    });
 }
 
 void
 collectVars(const PrimExpr& expr, std::unordered_set<const VarNode*>* out)
 {
-    if (!expr) return;
-    switch (expr->kind()) {
-      case ExprKind::kIntImm:
-      case ExprKind::kFloatImm:
-      case ExprKind::kBufferLoad:
-        return;
-      case ExprKind::kVar:
+    if (expr && expr->kind() == ExprKind::kVar) {
         out->insert(static_cast<const VarNode*>(expr.get()));
-        return;
-      case ExprKind::kNot:
-      case ExprKind::kCast:
-        collectVars(static_cast<const UnaryNode*>(expr.get())->a, out);
-        return;
-      case ExprKind::kSelect: {
-        const auto* node = static_cast<const SelectNode*>(expr.get());
-        collectVars(node->cond, out);
-        collectVars(node->trueValue, out);
-        collectVars(node->falseValue, out);
-        return;
-      }
-      case ExprKind::kCall: {
-        for (const auto& arg :
-             static_cast<const CallNode*>(expr.get())->args) {
-            collectVars(arg, out);
-        }
-        return;
-      }
-      default: {
-        const auto* node = static_cast<const BinaryNode*>(expr.get());
-        collectVars(node->a, out);
-        collectVars(node->b, out);
-        return;
-      }
     }
+    for (const PrimExpr& operand : operands(expr)) collectVars(operand, out);
 }
-
-namespace {
-
-int64_t
-floordivImpl(int64_t a, int64_t b)
-{
-    int64_t q = a / b;
-    if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
-    return q;
-}
-
-} // namespace
 
 std::optional<int64_t>
 tryEvalInt(const PrimExpr& expr, const VarBinding& binding)
@@ -181,10 +74,10 @@ tryEvalInt(const PrimExpr& expr, const VarBinding& binding)
           case ExprKind::kMul: return *a * *b;
           case ExprKind::kFloorDiv:
             if (*b == 0) return std::nullopt;
-            return floordivImpl(*a, *b);
+            return floorDiv(*a, *b);
           case ExprKind::kFloorMod:
             if (*b == 0) return std::nullopt;
-            return *a - floordivImpl(*a, *b) * *b;
+            return floorMod(*a, *b);
           case ExprKind::kDiv:
             if (*b == 0) return std::nullopt;
             return *a / *b;

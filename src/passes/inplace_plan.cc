@@ -58,57 +58,15 @@ namespace {
 bool
 containsLoadOf(const PrimExpr& expr, const tir::BufferNode* buf)
 {
-    if (!expr) return false;
-    switch (expr->kind()) {
-      case ExprKind::kBufferLoad: {
-          const auto* load =
-              static_cast<const tir::BufferLoadNode*>(expr.get());
-          if (load->buffer.get() == buf) return true;
-          for (const auto& idx : load->indices) {
-              if (containsLoadOf(idx, buf)) return true;
-          }
-          return false;
-      }
-      case ExprKind::kAdd:
-      case ExprKind::kSub:
-      case ExprKind::kMul:
-      case ExprKind::kDiv:
-      case ExprKind::kFloorDiv:
-      case ExprKind::kFloorMod:
-      case ExprKind::kMin:
-      case ExprKind::kMax:
-      case ExprKind::kEQ:
-      case ExprKind::kNE:
-      case ExprKind::kLT:
-      case ExprKind::kLE:
-      case ExprKind::kGT:
-      case ExprKind::kGE:
-      case ExprKind::kAnd:
-      case ExprKind::kOr: {
-          const auto* binary = static_cast<const BinaryNode*>(expr.get());
-          return containsLoadOf(binary->a, buf) ||
-                 containsLoadOf(binary->b, buf);
-      }
-      case ExprKind::kNot:
-      case ExprKind::kCast:
-          return containsLoadOf(
-              static_cast<const UnaryNode*>(expr.get())->a, buf);
-      case ExprKind::kSelect: {
-          const auto* select = static_cast<const SelectNode*>(expr.get());
-          return containsLoadOf(select->cond, buf) ||
-                 containsLoadOf(select->trueValue, buf) ||
-                 containsLoadOf(select->falseValue, buf);
-      }
-      case ExprKind::kCall: {
-          for (const auto& arg :
-               static_cast<const ::relax::CallNode*>(expr.get())->args) {
-              if (containsLoadOf(arg, buf)) return true;
-          }
-          return false;
-      }
-      default:
-          return false;
+    if (expr && expr->kind() == ExprKind::kBufferLoad &&
+        static_cast<const tir::BufferLoadNode*>(expr.get())->buffer.get() ==
+            buf) {
+        return true;
     }
+    for (const PrimExpr& operand : tir::operandsAndIndices(expr)) {
+        if (containsLoadOf(operand, buf)) return true;
+    }
+    return false;
 }
 
 /** Loop vars whose extent is the constant 1 — they only ever hold 0. */
@@ -145,72 +103,22 @@ loadsAligned(const PrimExpr& expr, const tir::BufferNode* buf,
              const std::vector<PrimExpr>& indices,
              const UnitVarSet& unit_vars)
 {
-    if (!expr) return true;
-    switch (expr->kind()) {
-      case ExprKind::kBufferLoad: {
-          const auto* load =
-              static_cast<const tir::BufferLoadNode*>(expr.get());
-          if (load->buffer.get() == buf) {
-              if (load->indices.size() != indices.size()) return false;
-              for (size_t i = 0; i < indices.size(); ++i) {
-                  if (!indexEqual(load->indices[i], indices[i],
-                                  unit_vars)) {
-                      return false;
-                  }
-              }
-          }
-          for (const auto& idx : load->indices) {
-              if (!loadsAligned(idx, buf, indices, unit_vars)) {
-                  return false;
-              }
-          }
-          return true;
-      }
-      case ExprKind::kAdd:
-      case ExprKind::kSub:
-      case ExprKind::kMul:
-      case ExprKind::kDiv:
-      case ExprKind::kFloorDiv:
-      case ExprKind::kFloorMod:
-      case ExprKind::kMin:
-      case ExprKind::kMax:
-      case ExprKind::kEQ:
-      case ExprKind::kNE:
-      case ExprKind::kLT:
-      case ExprKind::kLE:
-      case ExprKind::kGT:
-      case ExprKind::kGE:
-      case ExprKind::kAnd:
-      case ExprKind::kOr: {
-          const auto* binary = static_cast<const BinaryNode*>(expr.get());
-          return loadsAligned(binary->a, buf, indices, unit_vars) &&
-                 loadsAligned(binary->b, buf, indices, unit_vars);
-      }
-      case ExprKind::kNot:
-      case ExprKind::kCast:
-          return loadsAligned(
-              static_cast<const UnaryNode*>(expr.get())->a, buf, indices,
-              unit_vars);
-      case ExprKind::kSelect: {
-          const auto* select = static_cast<const SelectNode*>(expr.get());
-          return loadsAligned(select->cond, buf, indices, unit_vars) &&
-                 loadsAligned(select->trueValue, buf, indices,
-                              unit_vars) &&
-                 loadsAligned(select->falseValue, buf, indices,
-                              unit_vars);
-      }
-      case ExprKind::kCall: {
-          for (const auto& arg :
-               static_cast<const ::relax::CallNode*>(expr.get())->args) {
-              if (!loadsAligned(arg, buf, indices, unit_vars)) {
-                  return false;
-              }
-          }
-          return true;
-      }
-      default:
-          return true;
+    if (expr && expr->kind() == ExprKind::kBufferLoad) {
+        const auto* load =
+            static_cast<const tir::BufferLoadNode*>(expr.get());
+        if (load->buffer.get() == buf) {
+            if (load->indices.size() != indices.size()) return false;
+            for (size_t i = 0; i < indices.size(); ++i) {
+                if (!indexEqual(load->indices[i], indices[i], unit_vars)) {
+                    return false;
+                }
+            }
+        }
     }
+    for (const PrimExpr& operand : tir::operandsAndIndices(expr)) {
+        if (!loadsAligned(operand, buf, indices, unit_vars)) return false;
+    }
+    return true;
 }
 
 struct TIRScan
@@ -225,107 +133,53 @@ struct TIRScan
 void
 scanStmt(const tir::Stmt& stmt, TIRScan* scan)
 {
-    if (!stmt || !scan->ok) return;
-    switch (stmt->kind()) {
-      case tir::StmtKind::kBufferStore: {
-          const auto* store =
-              static_cast<const tir::BufferStoreNode*>(stmt.get());
-          for (const auto& idx : store->indices) {
-              if (containsLoadOf(idx, scan->in)) scan->ok = false;
-          }
-          if (store->buffer.get() == scan->out) {
-              ++scan->outStores;
-              if (!loadsAligned(store->value, scan->in, store->indices,
-                                scan->unitVars)) {
-                  scan->ok = false;
-              }
-          } else {
-              // Storing into (or from) the candidate outside the single
-              // output store: unsafe under aliasing.
-              if (store->buffer.get() == scan->in ||
-                  containsLoadOf(store->value, scan->in)) {
-                  scan->ok = false;
-              }
-          }
-          return;
-      }
-      case tir::StmtKind::kFor: {
-          const auto* loop =
-              static_cast<const tir::ForNode*>(stmt.get());
-          if (containsLoadOf(loop->extent, scan->in)) scan->ok = false;
-          if (loop->extent->kind() == ExprKind::kIntImm &&
-              static_cast<const IntImmNode*>(loop->extent.get())->value ==
-                  1) {
-              scan->unitVars.insert(loop->loopVar.get());
-          }
-          scanStmt(loop->body, scan);
-          return;
-      }
-      case tir::StmtKind::kIfThenElse: {
-          const auto* branch =
-              static_cast<const tir::IfThenElseNode*>(stmt.get());
-          if (containsLoadOf(branch->cond, scan->in)) scan->ok = false;
-          scanStmt(branch->thenBody, scan);
-          scanStmt(branch->elseBody, scan);
-          return;
-      }
-      case tir::StmtKind::kSeq: {
-          for (const auto& sub :
-               static_cast<const tir::SeqStmtNode*>(stmt.get())->seq) {
-              scanStmt(sub, scan);
-          }
-          return;
-      }
-      case tir::StmtKind::kAllocBuffer: {
-          scanStmt(
-              static_cast<const tir::AllocBufferNode*>(stmt.get())->body,
-              scan);
-          return;
-      }
+    if (!scan->ok) return;
+    if (stmt->kind() == tir::StmtKind::kBufferStore) {
+        const auto* store =
+            static_cast<const tir::BufferStoreNode*>(stmt.get());
+        for (const auto& idx : store->indices) {
+            if (containsLoadOf(idx, scan->in)) scan->ok = false;
+        }
+        if (store->buffer.get() == scan->out) {
+            ++scan->outStores;
+            if (!loadsAligned(store->value, scan->in, store->indices,
+                              scan->unitVars)) {
+                scan->ok = false;
+            }
+        } else if (store->buffer.get() == scan->in ||
+                   containsLoadOf(store->value, scan->in)) {
+            // Storing into (or from) the candidate outside the single
+            // output store: unsafe under aliasing.
+            scan->ok = false;
+        }
+        return;
     }
+    if (stmt->kind() == tir::StmtKind::kFor) {
+        const auto* loop = static_cast<const tir::ForNode*>(stmt.get());
+        if (isConstInt(loop->extent, 1)) {
+            scan->unitVars.insert(loop->loopVar.get());
+        }
+    }
+    tir::forEachChild(
+        stmt,
+        [&](const PrimExpr& expr) {
+            if (containsLoadOf(expr, scan->in)) scan->ok = false;
+        },
+        [&](const tir::Stmt& sub) { scanStmt(sub, scan); });
 }
 
-/** True iff any load of `out` appears anywhere in the body. */
+/** True iff any load of `buf` appears anywhere in the body. */
 bool
 bodyLoads(const tir::Stmt& stmt, const tir::BufferNode* buf)
 {
-    if (!stmt) return false;
-    switch (stmt->kind()) {
-      case tir::StmtKind::kBufferStore: {
-          const auto* store =
-              static_cast<const tir::BufferStoreNode*>(stmt.get());
-          if (containsLoadOf(store->value, buf)) return true;
-          for (const auto& idx : store->indices) {
-              if (containsLoadOf(idx, buf)) return true;
-          }
-          return false;
-      }
-      case tir::StmtKind::kFor: {
-          const auto* loop =
-              static_cast<const tir::ForNode*>(stmt.get());
-          return containsLoadOf(loop->extent, buf) ||
-                 bodyLoads(loop->body, buf);
-      }
-      case tir::StmtKind::kIfThenElse: {
-          const auto* branch =
-              static_cast<const tir::IfThenElseNode*>(stmt.get());
-          return containsLoadOf(branch->cond, buf) ||
-                 bodyLoads(branch->thenBody, buf) ||
-                 bodyLoads(branch->elseBody, buf);
-      }
-      case tir::StmtKind::kSeq: {
-          for (const auto& sub :
-               static_cast<const tir::SeqStmtNode*>(stmt.get())->seq) {
-              if (bodyLoads(sub, buf)) return true;
-          }
-          return false;
-      }
-      case tir::StmtKind::kAllocBuffer:
-          return bodyLoads(
-              static_cast<const tir::AllocBufferNode*>(stmt.get())->body,
-              buf);
-    }
-    return false;
+    bool found = false;
+    tir::forEachChild(
+        stmt,
+        [&](const PrimExpr& expr) {
+            found = found || containsLoadOf(expr, buf);
+        },
+        [&](const tir::Stmt& sub) { found = found || bodyLoads(sub, buf); });
+    return found;
 }
 
 /**

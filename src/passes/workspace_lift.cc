@@ -29,29 +29,19 @@ struct LiftedInfo
     tir::Buffer workspace;
 };
 
-/** Removes the global AllocBuffer wrapper, keeping its body. */
+/** Removes the global AllocBuffer wrapper, keeping its body, at any
+ *  depth. */
 tir::Stmt
 stripGlobalAlloc(const tir::Stmt& stmt, const tir::BufferNode* target)
 {
-    switch (stmt->kind()) {
-      case tir::StmtKind::kAllocBuffer: {
+    if (stmt->kind() == tir::StmtKind::kAllocBuffer) {
         const auto* node =
             static_cast<const tir::AllocBufferNode*>(stmt.get());
         if (node->buffer.get() == target) return node->body;
-        return tir::makeAllocBuffer(node->buffer, node->scope,
-                                    stripGlobalAlloc(node->body, target));
-      }
-      case tir::StmtKind::kSeq: {
-        std::vector<tir::Stmt> seq;
-        for (const auto& s :
-             static_cast<const tir::SeqStmtNode*>(stmt.get())->seq) {
-            seq.push_back(stripGlobalAlloc(s, target));
-        }
-        return tir::makeSeq(std::move(seq));
-      }
-      default:
-        return stmt;
     }
+    return tir::mapChildren(
+        stmt, [](const PrimExpr& expr) { return expr; },
+        [&](const tir::Stmt& sub) { return stripGlobalAlloc(sub, target); });
 }
 
 } // namespace

@@ -119,7 +119,6 @@ isInjective(const std::vector<PrimExpr>& r_idx,
 bool
 isFuseMultiplyAdd(const Stmt& body)
 {
-    AccessSet accesses = collectAccesses(body);
     std::function<bool(const PrimExpr&)> containsMul =
         [&](const PrimExpr& e) -> bool {
         if (!e) return false;
@@ -138,49 +137,20 @@ isFuseMultiplyAdd(const Stmt& body)
     };
 
     bool found = false;
-    std::function<void(const Stmt&)> walk = [&](const Stmt& s) {
-        if (found) return;
-        switch (s->kind()) {
-          case StmtKind::kFor:
-            walk(static_cast<const ForNode*>(s.get())->body);
-            return;
-          case StmtKind::kSeq:
-            for (const auto& sub :
-                 static_cast<const SeqStmtNode*>(s.get())->seq) {
-                walk(sub);
-            }
-            return;
-          case StmtKind::kIfThenElse: {
-            const auto* node = static_cast<const IfThenElseNode*>(s.get());
-            walk(node->thenBody);
-            if (node->elseBody) walk(node->elseBody);
-            return;
-          }
-          case StmtKind::kAllocBuffer:
-            walk(static_cast<const AllocBufferNode*>(s.get())->body);
-            return;
-          case StmtKind::kBufferStore: {
-            const auto* store =
-                static_cast<const BufferStoreNode*>(s.get());
-            if (store->value->kind() != ExprKind::kAdd) return;
-            const auto* sum =
-                static_cast<const BinaryNode*>(store->value.get());
-            auto isSelfLoad = [&](const PrimExpr& e) {
-                if (e->kind() != ExprKind::kBufferLoad) return false;
-                const auto* load =
-                    static_cast<const BufferLoadNode*>(e.get());
-                return load->buffer.get() == store->buffer.get() &&
-                       sameIndices(load->indices, store->indices);
-            };
-            if ((isSelfLoad(sum->a) && containsMul(sum->b)) ||
-                (isSelfLoad(sum->b) && containsMul(sum->a))) {
-                found = true;
-            }
-            return;
-          }
-        }
-    };
-    walk(body);
+    forEachStmt(body, [&](const Stmt& s) {
+        if (found || s->kind() != StmtKind::kBufferStore) return;
+        const auto* store = static_cast<const BufferStoreNode*>(s.get());
+        if (store->value->kind() != ExprKind::kAdd) return;
+        const auto* sum = static_cast<const BinaryNode*>(store->value.get());
+        auto isSelfLoad = [&](const PrimExpr& e) {
+            if (e->kind() != ExprKind::kBufferLoad) return false;
+            const auto* load = static_cast<const BufferLoadNode*>(e.get());
+            return load->buffer.get() == store->buffer.get() &&
+                   sameIndices(load->indices, store->indices);
+        };
+        found = (isSelfLoad(sum->a) && containsMul(sum->b)) ||
+                (isSelfLoad(sum->b) && containsMul(sum->a));
+    });
     return found;
 }
 
@@ -266,114 +236,62 @@ int64_t
 countOps(const PrimExpr& expr)
 {
     if (!expr) return 0;
+    int64_t total = 1; // one op per arithmetic node
     switch (expr->kind()) {
       case ExprKind::kIntImm:
       case ExprKind::kFloatImm:
       case ExprKind::kVar:
-        return 0;
-      case ExprKind::kBufferLoad: {
-        const auto* node = static_cast<const BufferLoadNode*>(expr.get());
-        int64_t total = 0;
-        for (const auto& index : node->indices) total += countOps(index);
-        return total;
-      }
-      case ExprKind::kNot:
-      case ExprKind::kCast:
-        return 1 + countOps(static_cast<const UnaryNode*>(expr.get())->a);
-      case ExprKind::kSelect: {
-        const auto* node = static_cast<const SelectNode*>(expr.get());
-        return 1 + countOps(node->cond) + countOps(node->trueValue) +
-               countOps(node->falseValue);
-      }
+      case ExprKind::kBufferLoad:
+        total = 0;
+        break;
       case ExprKind::kCall: {
-        const auto* node = static_cast<const CallNode*>(expr.get());
         // Bit intrinsics are single-cycle; transcendentals cost several.
-        int64_t total = node->op == "pow2" ? 1 : 4;
-        for (const auto& arg : node->args) total += countOps(arg);
-        return total;
+        bool bit_op = static_cast<const CallNode*>(expr.get())->op == "pow2";
+        total = bit_op ? 1 : 4;
+        break;
       }
-      default: {
-        const auto* node = static_cast<const BinaryNode*>(expr.get());
-        return 1 + countOps(node->a) + countOps(node->b);
-      }
+      default:
+        break;
     }
+    for (const PrimExpr& operand : operandsAndIndices(expr)) {
+        total += countOps(operand);
+    }
+    return total;
 }
 
 void
 accumulateFlops(const Stmt& stmt, PrimExpr iteration_count, PrimExpr* flops)
 {
-    switch (stmt->kind()) {
-      case StmtKind::kFor: {
-        const auto* node = static_cast<const ForNode*>(stmt.get());
-        accumulateFlops(node->body, mul(iteration_count, node->extent),
-                        flops);
-        return;
-      }
-      case StmtKind::kBufferStore: {
+    if (stmt->kind() == StmtKind::kBufferStore) {
         const auto* node = static_cast<const BufferStoreNode*>(stmt.get());
         int64_t per_iter = countOps(node->value);
         if (per_iter == 0) per_iter = 1; // a store still costs one op
         *flops = add(*flops, mul(iteration_count, intImm(per_iter)));
         return;
-      }
-      case StmtKind::kIfThenElse: {
-        const auto* node = static_cast<const IfThenElseNode*>(stmt.get());
-        accumulateFlops(node->thenBody, iteration_count, flops);
-        if (node->elseBody) {
-            accumulateFlops(node->elseBody, iteration_count, flops);
-        }
-        return;
-      }
-      case StmtKind::kSeq:
-        for (const auto& s :
-             static_cast<const SeqStmtNode*>(stmt.get())->seq) {
-            accumulateFlops(s, iteration_count, flops);
-        }
-        return;
-      case StmtKind::kAllocBuffer:
-        accumulateFlops(
-            static_cast<const AllocBufferNode*>(stmt.get())->body,
-            iteration_count, flops);
-        return;
     }
+    if (stmt->kind() == StmtKind::kFor) {
+        iteration_count = mul(iteration_count,
+                              static_cast<const ForNode*>(stmt.get())->extent);
+    }
+    forEachSubStmt(stmt, [&](const Stmt& sub) {
+        accumulateFlops(sub, iteration_count, flops);
+    });
 }
-
-} // namespace
-
-namespace {
 
 /** Map from loop variables to their extents. */
 using ExtentMap = std::unordered_map<const VarNode*, PrimExpr>;
 
-void
-collectExtents(const Stmt& stmt, ExtentMap* out)
+ExtentMap
+collectExtents(const Stmt& stmt)
 {
-    switch (stmt->kind()) {
-      case StmtKind::kFor: {
-        const auto* node = static_cast<const ForNode*>(stmt.get());
-        (*out)[node->loopVar.get()] = node->extent;
-        collectExtents(node->body, out);
-        return;
-      }
-      case StmtKind::kSeq:
-        for (const auto& s :
-             static_cast<const SeqStmtNode*>(stmt.get())->seq) {
-            collectExtents(s, out);
+    ExtentMap out;
+    forEachStmt(stmt, [&](const Stmt& s) {
+        if (s->kind() == StmtKind::kFor) {
+            const auto* node = static_cast<const ForNode*>(s.get());
+            out[node->loopVar.get()] = node->extent;
         }
-        return;
-      case StmtKind::kIfThenElse: {
-        const auto* node = static_cast<const IfThenElseNode*>(stmt.get());
-        collectExtents(node->thenBody, out);
-        if (node->elseBody) collectExtents(node->elseBody, out);
-        return;
-      }
-      case StmtKind::kAllocBuffer:
-        collectExtents(
-            static_cast<const AllocBufferNode*>(stmt.get())->body, out);
-        return;
-      default:
-        return;
-    }
+    });
+    return out;
 }
 
 /**
@@ -462,8 +380,7 @@ analyzeCost(const PrimFunc& func)
     // analysis of the index expressions), assuming perfect on-chip reuse.
     // Local fusion intermediates stay on chip and are excluded; global
     // workspaces round-trip device memory and count twice.
-    ExtentMap extents;
-    collectExtents(func->body, &extents);
+    ExtentMap extents = collectExtents(func->body);
     AccessSet accesses = collectAccesses(func->body);
     std::unordered_set<const BufferNode*> local;
     std::unordered_set<const BufferNode*> global_ws;

@@ -50,15 +50,6 @@ evalIntrinsic(const std::string& op, const std::vector<double>& args)
     RELAX_THROW(RuntimeError) << "unknown intrinsic: " << op;
 }
 
-int64_t
-floordivImpl(int64_t a, int64_t b)
-{
-    RELAX_ICHECK(b != 0) << "floordiv by zero";
-    int64_t q = a / b;
-    if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
-    return q;
-}
-
 double
 evalExpr(const PrimExpr& expr, Env& env)
 {
@@ -128,15 +119,10 @@ evalExpr(const PrimExpr& expr, Env& env)
           case ExprKind::kMul: return a * b;
           case ExprKind::kDiv: return a / b;
           case ExprKind::kFloorDiv:
-            if (integer) {
-                return (double)floordivImpl((int64_t)a, (int64_t)b);
-            }
+            if (integer) return (double)floorDiv((int64_t)a, (int64_t)b);
             return std::floor(a / b);
           case ExprKind::kFloorMod:
-            if (integer) {
-                int64_t ia = (int64_t)a, ib = (int64_t)b;
-                return (double)(ia - floordivImpl(ia, ib) * ib);
-            }
+            if (integer) return (double)floorMod((int64_t)a, (int64_t)b);
             return a - std::floor(a / b) * b;
           case ExprKind::kMin: return std::min(a, b);
           case ExprKind::kMax: return std::max(a, b);

@@ -2,7 +2,8 @@
  * @file
  * Text rendering of tensor programs — statements, scalar expressions,
  * and whole PrimFuncs — behind the Fig. 9-style listings printed by
- * tests and examples.
+ * tests and examples; and withChildren, the statement rebuild behind
+ * mapChildren.
  */
 #include "tir/stmt.h"
 
@@ -83,9 +84,9 @@ exprString(const PrimExpr& expr)
         const auto* node = static_cast<const BufferLoadNode*>(expr.get());
         return node->buffer->name + indexString(node->indices);
     }
-    // Recursively expand loads inside composite expressions by printing
-    // through a rebuilt string; reuse the arith printer for the skeleton and
-    // substitute loads. Simpler: handle the common shapes directly.
+    // arith's printer cannot see a load's fields (it prints "<load>"), so
+    // every kind that can hold a load is rendered here, fully
+    // parenthesized; leaves fall back to the arith printer.
     switch (expr->kind()) {
       case ExprKind::kAdd:
       case ExprKind::kSub:
@@ -158,6 +159,35 @@ exprString(const PrimExpr& expr)
 }
 
 } // namespace
+
+Stmt
+withChildren(const Stmt& stmt, std::vector<PrimExpr> exprs,
+             std::vector<Stmt> stmts)
+{
+    switch (stmt->kind()) {
+      case StmtKind::kFor:
+        return makeFor(static_cast<const ForNode*>(stmt.get())->loopVar,
+                       std::move(exprs[0]), std::move(stmts[0]));
+      case StmtKind::kBufferStore: {
+        PrimExpr value = std::move(exprs.back());
+        exprs.pop_back();
+        return makeStore(static_cast<const BufferStoreNode*>(stmt.get())
+                             ->buffer,
+                         std::move(exprs), std::move(value));
+      }
+      case StmtKind::kIfThenElse:
+        return makeIf(std::move(exprs[0]), std::move(stmts[0]),
+                      stmts.size() > 1 ? std::move(stmts[1]) : nullptr);
+      case StmtKind::kSeq:
+        return makeSeq(std::move(stmts));
+      case StmtKind::kAllocBuffer: {
+        const auto* node = static_cast<const AllocBufferNode*>(stmt.get());
+        return makeAllocBuffer(node->buffer, node->scope,
+                               std::move(stmts[0]));
+      }
+    }
+    return stmt;
+}
 
 std::string
 toString(const Stmt& stmt, int indent)

@@ -164,6 +164,117 @@ makeAllocBuffer(Buffer buffer, std::string scope, Stmt body)
                                              std::move(body));
 }
 
+// ---------------------------------------------------------------------------
+// Traversal. relax::operands lists a scalar node's operands; the helpers
+// below are the only other code that spells out a node's children, so
+// walkers keep just their kind-specific rules.
+// ---------------------------------------------------------------------------
+
+/** relax::operands extended to a BufferLoad's indices. */
+inline Operands
+operandsAndIndices(const PrimExpr& expr)
+{
+    if (expr && expr->kind() == ExprKind::kBufferLoad) {
+        return Operands(
+            static_cast<const BufferLoadNode*>(expr.get())->indices);
+    }
+    return operands(expr);
+}
+
+/**
+ * Calls `on_expr` on each expression child and `on_stmt` on each statement
+ * child of `stmt`, in field order: extent, body (kFor); indices, value
+ * (kBufferStore); cond, thenBody, elseBody when present (kIfThenElse); seq
+ * (kSeq); body (kAllocBuffer). Buffers and loop variables are not children.
+ */
+template <typename ExprFn, typename StmtFn>
+void
+forEachChild(const Stmt& stmt, ExprFn&& on_expr, StmtFn&& on_stmt)
+{
+    switch (stmt->kind()) {
+      case StmtKind::kFor: {
+        const auto* node = static_cast<const ForNode*>(stmt.get());
+        on_expr(node->extent);
+        on_stmt(node->body);
+        return;
+      }
+      case StmtKind::kBufferStore: {
+        const auto* node = static_cast<const BufferStoreNode*>(stmt.get());
+        for (const auto& index : node->indices) on_expr(index);
+        on_expr(node->value);
+        return;
+      }
+      case StmtKind::kIfThenElse: {
+        const auto* node = static_cast<const IfThenElseNode*>(stmt.get());
+        on_expr(node->cond);
+        on_stmt(node->thenBody);
+        if (node->elseBody) on_stmt(node->elseBody);
+        return;
+      }
+      case StmtKind::kSeq:
+        for (const auto& sub :
+             static_cast<const SeqStmtNode*>(stmt.get())->seq) {
+            on_stmt(sub);
+        }
+        return;
+      case StmtKind::kAllocBuffer:
+        on_stmt(static_cast<const AllocBufferNode*>(stmt.get())->body);
+        return;
+    }
+}
+
+/** forEachChild over the statement children only. */
+template <typename StmtFn>
+void
+forEachSubStmt(const Stmt& stmt, StmtFn&& on_stmt)
+{
+    forEachChild(stmt, [](const PrimExpr&) {}, on_stmt);
+}
+
+/** Calls `fn` on `stmt` and on every statement nested in it, parents
+ *  first. */
+template <typename Fn>
+void
+forEachStmt(const Stmt& stmt, Fn&& fn)
+{
+    fn(stmt);
+    forEachSubStmt(stmt, [&](const Stmt& sub) { forEachStmt(sub, fn); });
+}
+
+/**
+ * Rebuilds `stmt` over new children, given in forEachChild order (a
+ * kIfThenElse takes an else body iff `stmts` has two entries); buffers,
+ * loop variables and scopes are kept.
+ */
+Stmt withChildren(const Stmt& stmt, std::vector<PrimExpr> exprs,
+                  std::vector<Stmt> stmts);
+
+/**
+ * Maps `expr_fn` over the expression children and `stmt_fn` over the
+ * statement children of `stmt`, in forEachChild order, and rebuilds it
+ * through withChildren. Returns `stmt` itself when no child changed.
+ */
+template <typename ExprFn, typename StmtFn>
+Stmt
+mapChildren(const Stmt& stmt, ExprFn&& expr_fn, StmtFn&& stmt_fn)
+{
+    std::vector<PrimExpr> exprs;
+    std::vector<Stmt> stmts;
+    bool changed = false;
+    forEachChild(
+        stmt,
+        [&](const PrimExpr& expr) {
+            exprs.push_back(expr_fn(expr));
+            changed |= exprs.back() != expr;
+        },
+        [&](const Stmt& sub) {
+            stmts.push_back(stmt_fn(sub));
+            changed |= stmts.back() != sub;
+        });
+    return changed ? withChildren(stmt, std::move(exprs), std::move(stmts))
+                   : stmt;
+}
+
 /**
  * A loop-level tensor program in destination-passing style: buffer
  * parameters (outputs last), optional extra scalar symbolic parameters

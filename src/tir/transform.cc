@@ -18,97 +18,26 @@ namespace tir {
 PrimExpr
 substituteExpr(const PrimExpr& expr, const VarMap& vmap, const BufferMap& bmap)
 {
-    if (!expr) return expr;
-    if (expr->kind() == ExprKind::kBufferLoad) {
-        const auto* node = static_cast<const BufferLoadNode*>(expr.get());
-        Buffer buffer = node->buffer;
-        if (auto it = bmap.find(buffer.get()); it != bmap.end()) {
-            buffer = it->second;
-        }
-        std::vector<PrimExpr> indices;
-        indices.reserve(node->indices.size());
-        bool changed = buffer.get() != node->buffer.get();
-        for (const auto& index : node->indices) {
-            indices.push_back(substituteExpr(index, vmap, bmap));
-            changed |= indices.back().get() != index.get();
-        }
-        return changed ? bufferLoad(buffer, std::move(indices)) : expr;
+    if (!expr || expr->kind() == ExprKind::kVar) return substitute(expr, vmap);
+    auto recurse = [&](const PrimExpr& operand) {
+        return substituteExpr(operand, vmap, bmap);
+    };
+    if (expr->kind() != ExprKind::kBufferLoad) {
+        return mapOperands(expr, recurse);
     }
-    if (expr->kind() == ExprKind::kCall) {
-        // substitute() skips BufferLoads nested in intrinsic args, so expand
-        // calls here.
-        const auto* node = static_cast<const CallNode*>(expr.get());
-        std::vector<PrimExpr> args;
-        args.reserve(node->args.size());
-        bool changed = false;
-        for (const auto& arg : node->args) {
-            args.push_back(substituteExpr(arg, vmap, bmap));
-            changed |= args.back().get() != arg.get();
-        }
-        return changed ? callIntrin(node->op, std::move(args), expr->dtype())
-                       : expr;
+    const auto* node = static_cast<const BufferLoadNode*>(expr.get());
+    Buffer buffer = node->buffer;
+    if (auto it = bmap.find(buffer.get()); it != bmap.end()) {
+        buffer = it->second;
     }
-    if (expr->kind() == ExprKind::kSelect) {
-        const auto* node = static_cast<const SelectNode*>(expr.get());
-        return select(substituteExpr(node->cond, vmap, bmap),
-                      substituteExpr(node->trueValue, vmap, bmap),
-                      substituteExpr(node->falseValue, vmap, bmap));
+    bool changed = buffer != node->buffer;
+    std::vector<PrimExpr> indices;
+    indices.reserve(node->indices.size());
+    for (const PrimExpr& index : operandsAndIndices(expr)) {
+        indices.push_back(recurse(index));
+        changed |= indices.back() != index;
     }
-    if (expr->kind() == ExprKind::kCast) {
-        const auto* node = static_cast<const UnaryNode*>(expr.get());
-        return cast(substituteExpr(node->a, vmap, bmap), expr->dtype());
-    }
-    if (expr->kind() == ExprKind::kNot) {
-        const auto* node = static_cast<const UnaryNode*>(expr.get());
-        return logicalNot(substituteExpr(node->a, vmap, bmap));
-    }
-    // Binary nodes: rebuild through arith substitution when any descendant
-    // contains a BufferLoad; otherwise plain substitute() suffices.
-    switch (expr->kind()) {
-      case ExprKind::kAdd:
-      case ExprKind::kSub:
-      case ExprKind::kMul:
-      case ExprKind::kDiv:
-      case ExprKind::kFloorDiv:
-      case ExprKind::kFloorMod:
-      case ExprKind::kMin:
-      case ExprKind::kMax:
-      case ExprKind::kEQ:
-      case ExprKind::kNE:
-      case ExprKind::kLT:
-      case ExprKind::kLE:
-      case ExprKind::kGT:
-      case ExprKind::kGE:
-      case ExprKind::kAnd:
-      case ExprKind::kOr: {
-        const auto* node = static_cast<const BinaryNode*>(expr.get());
-        PrimExpr a = substituteExpr(node->a, vmap, bmap);
-        PrimExpr b = substituteExpr(node->b, vmap, bmap);
-        if (a.get() == node->a.get() && b.get() == node->b.get()) return expr;
-        switch (expr->kind()) {
-          case ExprKind::kAdd: return add(a, b);
-          case ExprKind::kSub: return sub(a, b);
-          case ExprKind::kMul: return mul(a, b);
-          case ExprKind::kDiv: return div(a, b);
-          case ExprKind::kFloorDiv: return floordiv(a, b);
-          case ExprKind::kFloorMod: return floormod(a, b);
-          case ExprKind::kMin: return minExpr(a, b);
-          case ExprKind::kMax: return maxExpr(a, b);
-          case ExprKind::kEQ: return eq(a, b);
-          case ExprKind::kNE: return ne(a, b);
-          case ExprKind::kLT: return lt(a, b);
-          case ExprKind::kLE: return le(a, b);
-          case ExprKind::kGT: return gt(a, b);
-          case ExprKind::kGE: return ge(a, b);
-          case ExprKind::kAnd: return logicalAnd(a, b);
-          case ExprKind::kOr: return logicalOr(a, b);
-          default: break;
-        }
-        return expr;
-      }
-      default:
-        return substitute(expr, vmap);
-    }
+    return changed ? bufferLoad(buffer, std::move(indices)) : expr;
 }
 
 namespace {
@@ -136,53 +65,31 @@ substituteBuffer(const Buffer& buffer, const VarMap& vmap,
 Stmt
 substituteStmt(const Stmt& stmt, const VarMap& vmap, const BufferMap& bmap)
 {
-    switch (stmt->kind()) {
-      case StmtKind::kFor: {
-        const auto* node = static_cast<const ForNode*>(stmt.get());
-        return makeFor(node->loopVar, substituteExpr(node->extent, vmap, bmap),
-                       substituteStmt(node->body, vmap, bmap));
-      }
-      case StmtKind::kBufferStore: {
-        const auto* node = static_cast<const BufferStoreNode*>(stmt.get());
-        Buffer buffer = node->buffer;
-        if (auto it = bmap.find(buffer.get()); it != bmap.end()) {
-            buffer = it->second;
-        }
-        std::vector<PrimExpr> indices;
-        for (const auto& index : node->indices) {
-            indices.push_back(substituteExpr(index, vmap, bmap));
-        }
-        return makeStore(buffer, std::move(indices),
-                         substituteExpr(node->value, vmap, bmap));
-      }
-      case StmtKind::kIfThenElse: {
-        const auto* node = static_cast<const IfThenElseNode*>(stmt.get());
-        return makeIf(substituteExpr(node->cond, vmap, bmap),
-                      substituteStmt(node->thenBody, vmap, bmap),
-                      node->elseBody
-                          ? substituteStmt(node->elseBody, vmap, bmap)
-                          : nullptr);
-      }
-      case StmtKind::kSeq: {
-        std::vector<Stmt> seq;
-        for (const auto& s : static_cast<const SeqStmtNode*>(stmt.get())->seq) {
-            seq.push_back(substituteStmt(s, vmap, bmap));
-        }
-        return makeSeq(std::move(seq));
-      }
-      case StmtKind::kAllocBuffer: {
+    if (stmt->kind() == StmtKind::kAllocBuffer) {
+        // A reshaped allocation is re-declared, and its body refers to the
+        // new buffer.
         const auto* node = static_cast<const AllocBufferNode*>(stmt.get());
         Buffer buffer = substituteBuffer(node->buffer, vmap, bmap);
-        BufferMap extended = bmap;
-        if (buffer.get() != node->buffer.get()) {
+        if (buffer != node->buffer) {
+            BufferMap extended = bmap;
             extended[node->buffer.get()] = buffer;
+            return makeAllocBuffer(
+                buffer, node->scope,
+                substituteStmt(node->body, vmap, extended));
         }
-        return makeAllocBuffer(buffer, node->scope,
-                               substituteStmt(node->body, vmap, extended));
-      }
     }
-    RELAX_ICHECK(false) << "unreachable";
-    return stmt;
+    Stmt out = mapChildren(
+        stmt,
+        [&](const PrimExpr& expr) { return substituteExpr(expr, vmap, bmap); },
+        [&](const Stmt& sub) { return substituteStmt(sub, vmap, bmap); });
+    if (out->kind() == StmtKind::kBufferStore) {
+        // A store's buffer is remapped like a load's.
+        const auto* node = static_cast<const BufferStoreNode*>(out.get());
+        if (auto it = bmap.find(node->buffer.get()); it != bmap.end()) {
+            return makeStore(it->second, node->indices, node->value);
+        }
+    }
+    return out;
 }
 
 namespace {
@@ -190,56 +97,22 @@ namespace {
 void
 collectExprAccesses(const PrimExpr& expr, AccessSet* out)
 {
-    if (!expr) return;
-    switch (expr->kind()) {
-      case ExprKind::kBufferLoad: {
+    if (expr && expr->kind() == ExprKind::kBufferLoad) {
         const auto* node = static_cast<const BufferLoadNode*>(expr.get());
         out->reads.push_back({node->buffer, node->indices});
-        for (const auto& index : node->indices) {
-            collectExprAccesses(index, out);
-        }
-        return;
-      }
-      case ExprKind::kIntImm:
-      case ExprKind::kFloatImm:
-      case ExprKind::kVar:
-        return;
-      case ExprKind::kNot:
-      case ExprKind::kCast:
-        collectExprAccesses(static_cast<const UnaryNode*>(expr.get())->a, out);
-        return;
-      case ExprKind::kSelect: {
-        const auto* node = static_cast<const SelectNode*>(expr.get());
-        collectExprAccesses(node->cond, out);
-        collectExprAccesses(node->trueValue, out);
-        collectExprAccesses(node->falseValue, out);
-        return;
-      }
-      case ExprKind::kCall: {
-        for (const auto& arg :
-             static_cast<const CallNode*>(expr.get())->args) {
-            collectExprAccesses(arg, out);
-        }
-        return;
-      }
-      default: {
-        const auto* node = static_cast<const BinaryNode*>(expr.get());
-        collectExprAccesses(node->a, out);
-        collectExprAccesses(node->b, out);
-        return;
-      }
+    }
+    for (const PrimExpr& operand : operandsAndIndices(expr)) {
+        collectExprAccesses(operand, out);
     }
 }
 
 void
 collectStmtAccesses(const Stmt& stmt, AccessSet* out)
 {
-    switch (stmt->kind()) {
-      case StmtKind::kFor:
-        collectStmtAccesses(static_cast<const ForNode*>(stmt.get())->body,
-                            out);
-        return;
-      case StmtKind::kBufferStore: {
+    if (stmt->kind() == StmtKind::kBufferStore) {
+        // The write comes first and a store's value reads come before its
+        // index reads: the pattern analysis keeps the last read it
+        // classifies, so this order is part of the result.
         const auto* node = static_cast<const BufferStoreNode*>(stmt.get());
         out->writes.push_back({node->buffer, node->indices});
         collectExprAccesses(node->value, out);
@@ -247,24 +120,10 @@ collectStmtAccesses(const Stmt& stmt, AccessSet* out)
             collectExprAccesses(index, out);
         }
         return;
-      }
-      case StmtKind::kIfThenElse: {
-        const auto* node = static_cast<const IfThenElseNode*>(stmt.get());
-        collectExprAccesses(node->cond, out);
-        collectStmtAccesses(node->thenBody, out);
-        if (node->elseBody) collectStmtAccesses(node->elseBody, out);
-        return;
-      }
-      case StmtKind::kSeq:
-        for (const auto& s : static_cast<const SeqStmtNode*>(stmt.get())->seq) {
-            collectStmtAccesses(s, out);
-        }
-        return;
-      case StmtKind::kAllocBuffer:
-        collectStmtAccesses(
-            static_cast<const AllocBufferNode*>(stmt.get())->body, out);
-        return;
     }
+    forEachChild(
+        stmt, [&](const PrimExpr& expr) { collectExprAccesses(expr, out); },
+        [&](const Stmt& sub) { collectStmtAccesses(sub, out); });
 }
 
 } // namespace
@@ -281,34 +140,12 @@ std::vector<BufferAllocation>
 collectAllocations(const Stmt& stmt)
 {
     std::vector<BufferAllocation> out;
-    std::function<void(const Stmt&)> walk = [&](const Stmt& s) {
-        switch (s->kind()) {
-          case StmtKind::kFor:
-            walk(static_cast<const ForNode*>(s.get())->body);
-            return;
-          case StmtKind::kIfThenElse: {
-            const auto* node = static_cast<const IfThenElseNode*>(s.get());
-            walk(node->thenBody);
-            if (node->elseBody) walk(node->elseBody);
-            return;
-          }
-          case StmtKind::kSeq:
-            for (const auto& sub :
-                 static_cast<const SeqStmtNode*>(s.get())->seq) {
-                walk(sub);
-            }
-            return;
-          case StmtKind::kAllocBuffer: {
+    forEachStmt(stmt, [&](const Stmt& s) {
+        if (s->kind() == StmtKind::kAllocBuffer) {
             const auto* node = static_cast<const AllocBufferNode*>(s.get());
             out.push_back({node->buffer, node->scope});
-            walk(node->body);
-            return;
-          }
-          default:
-            return;
         }
-    };
-    walk(stmt);
+    });
     return out;
 }
 
@@ -316,34 +153,11 @@ std::vector<Var>
 collectLoopVars(const Stmt& stmt)
 {
     std::vector<Var> out;
-    std::function<void(const Stmt&)> walk = [&](const Stmt& s) {
-        switch (s->kind()) {
-          case StmtKind::kFor: {
-            const auto* node = static_cast<const ForNode*>(s.get());
-            out.push_back(node->loopVar);
-            walk(node->body);
-            return;
-          }
-          case StmtKind::kIfThenElse: {
-            const auto* node = static_cast<const IfThenElseNode*>(s.get());
-            walk(node->thenBody);
-            if (node->elseBody) walk(node->elseBody);
-            return;
-          }
-          case StmtKind::kSeq:
-            for (const auto& sub :
-                 static_cast<const SeqStmtNode*>(s.get())->seq) {
-                walk(sub);
-            }
-            return;
-          case StmtKind::kAllocBuffer:
-            walk(static_cast<const AllocBufferNode*>(s.get())->body);
-            return;
-          default:
-            return;
+    forEachStmt(stmt, [&](const Stmt& s) {
+        if (s->kind() == StmtKind::kFor) {
+            out.push_back(static_cast<const ForNode*>(s.get())->loopVar);
         }
-    };
-    walk(stmt);
+    });
     return out;
 }
 
@@ -355,27 +169,19 @@ collectFreeVars(const PrimFunc& func)
     for (const auto& v : func->symParams) bound.insert(v.get());
 
     std::unordered_set<const VarNode*> free;
-    auto visitExpr = [&](const PrimExpr& expr) {
-        std::unordered_set<const VarNode*> vars;
-        std::function<void(const PrimExpr&)> walk = [&](const PrimExpr& e) {
-            if (!e) return;
-            if (e->kind() == ExprKind::kBufferLoad) {
-                const auto* node =
-                    static_cast<const BufferLoadNode*>(e.get());
-                for (const auto& index : node->indices) walk(index);
-                return;
-            }
-            collectVars(e, &vars);
-        };
-        walk(expr);
-        for (const auto* v : vars) {
+    std::function<void(const PrimExpr&)> visitExpr = [&](const PrimExpr& e) {
+        if (e && e->kind() == ExprKind::kVar) {
+            const auto* v = static_cast<const VarNode*>(e.get());
             if (!bound.count(v)) free.insert(v);
         }
+        for (const PrimExpr& operand : operandsAndIndices(e)) {
+            visitExpr(operand);
+        }
     };
-
     for (const auto& buffer : func->params) {
         for (const auto& dim : buffer->shape) visitExpr(dim);
     }
+    // Every access's indices, but never a stored value's own scalars.
     AccessSet accesses = collectAccesses(func->body);
     for (const auto& access : accesses.reads) {
         for (const auto& index : access.indices) visitExpr(index);
@@ -383,38 +189,14 @@ collectFreeVars(const PrimFunc& func)
     for (const auto& access : accesses.writes) {
         for (const auto& index : access.indices) visitExpr(index);
     }
-    std::function<void(const Stmt&)> walkExtents = [&](const Stmt& s) {
-        switch (s->kind()) {
-          case StmtKind::kFor: {
-            const auto* node = static_cast<const ForNode*>(s.get());
-            visitExpr(node->extent);
-            walkExtents(node->body);
-            return;
-          }
-          case StmtKind::kIfThenElse: {
-            const auto* node = static_cast<const IfThenElseNode*>(s.get());
-            visitExpr(node->cond);
-            walkExtents(node->thenBody);
-            if (node->elseBody) walkExtents(node->elseBody);
-            return;
-          }
-          case StmtKind::kSeq:
-            for (const auto& sub :
-                 static_cast<const SeqStmtNode*>(s.get())->seq) {
-                walkExtents(sub);
-            }
-            return;
-          case StmtKind::kAllocBuffer: {
+    forEachStmt(func->body, [&](const Stmt& s) {
+        if (s->kind() == StmtKind::kBufferStore) return;
+        if (s->kind() == StmtKind::kAllocBuffer) {
             const auto* node = static_cast<const AllocBufferNode*>(s.get());
             for (const auto& dim : node->buffer->shape) visitExpr(dim);
-            walkExtents(node->body);
-            return;
-          }
-          default:
-            return;
         }
-    };
-    walkExtents(func->body);
+        forEachChild(s, visitExpr, [](const Stmt&) {});
+    });
     return free;
 }
 

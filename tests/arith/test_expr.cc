@@ -1,9 +1,12 @@
 /**
  * @file
  * Unit tests for the scalar expression AST: factories, constant folding,
- * printing, structural equality/hash, substitution and evaluation.
+ * printing, structural equality/hash, operand traversal, substitution
+ * and evaluation.
  */
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "arith/expr.h"
 #include "arith/structural.h"
@@ -129,6 +132,98 @@ TEST(SubstituteTest, CollectVarsFindsAll)
     EXPECT_EQ(vars.size(), 2u);
     EXPECT_TRUE(vars.count(n.get()));
     EXPECT_TRUE(vars.count(m.get()));
+}
+
+/** One node of every arith kind over distinct leaves, with the operands
+ *  it holds in field order. kBufferLoad is tir's and is tested there. */
+std::vector<std::pair<PrimExpr, std::vector<PrimExpr>>>
+nodeOfEveryKind(const PrimExpr& a, const PrimExpr& b, const PrimExpr& c)
+{
+    return {
+        {intImm(1), {}},
+        {floatImm(0.5), {}},
+        {var("v"), {}},
+        {add(a, b), {a, b}},
+        {sub(a, b), {a, b}},
+        {mul(a, b), {a, b}},
+        {div(a, b), {a, b}},
+        {floordiv(a, b), {a, b}},
+        {floormod(a, b), {a, b}},
+        {minExpr(a, b), {a, b}},
+        {maxExpr(a, b), {a, b}},
+        {eq(a, b), {a, b}},
+        {ne(a, b), {a, b}},
+        {lt(a, b), {a, b}},
+        {le(a, b), {a, b}},
+        {gt(a, b), {a, b}},
+        {ge(a, b), {a, b}},
+        {logicalAnd(a, b), {a, b}},
+        {logicalOr(a, b), {a, b}},
+        {logicalNot(a), {a}},
+        {cast(a, DataType::f32()), {a}},
+        {select(a, b, c), {a, b, c}},
+        {callIntrin("fma", {a, b, c}, DataType::i64()), {a, b, c}},
+    };
+}
+
+std::vector<const PrimExprNode*>
+operandNodes(const PrimExpr& expr)
+{
+    std::vector<const PrimExprNode*> out;
+    for (const PrimExpr& operand : operands(expr)) out.push_back(operand.get());
+    return out;
+}
+
+TEST(TraversalTest, OperandsOfEveryKindInFieldOrder)
+{
+    Var a = var("a"), b = var("b"), c = var("c");
+    auto cases = nodeOfEveryKind(a, b, c);
+    std::set<ExprKind> kinds;
+    for (const auto& [expr, expected] : cases) {
+        SCOPED_TRACE(toString(expr));
+        kinds.insert(expr->kind());
+        std::vector<const PrimExprNode*> want;
+        for (const auto& operand : expected) want.push_back(operand.get());
+        EXPECT_EQ(operandNodes(expr), want);
+    }
+    EXPECT_EQ(kinds.size(), cases.size());
+    EXPECT_EQ(kinds.size(), static_cast<size_t>(ExprKind::kBufferLoad));
+    EXPECT_EQ(operands(nullptr).size(), 0u);
+}
+
+TEST(TraversalTest, IdentityRebuildReturnsTheSameNode)
+{
+    Var a = var("a"), b = var("b"), c = var("c");
+    for (const auto& [expr, expected] : nodeOfEveryKind(a, b, c)) {
+        SCOPED_TRACE(toString(expr));
+        PrimExpr same =
+            mapOperands(expr, [](const PrimExpr& operand) { return operand; });
+        EXPECT_EQ(same.get(), expr.get());
+    }
+}
+
+TEST(TraversalTest, RebuildKeepsKindDtypeAndOperandOrder)
+{
+    Var a = var("a"), b = var("b"), c = var("c");
+    Var x = var("x"), y = var("y"), z = var("z");
+    VarMap map{{a.get(), x}, {b.get(), y}, {c.get(), z}};
+    for (const auto& [expr, expected] : nodeOfEveryKind(a, b, c)) {
+        if (expected.empty()) continue;
+        SCOPED_TRACE(toString(expr));
+        PrimExpr rebuilt = mapOperands(expr, [&](const PrimExpr& operand) {
+            return map.at(static_cast<const VarNode*>(operand.get()));
+        });
+        ASSERT_NE(rebuilt.get(), expr.get());
+        EXPECT_EQ(rebuilt->kind(), expr->kind());
+        EXPECT_EQ(rebuilt->dtype(), expr->dtype());
+        std::vector<const PrimExprNode*> want{x.get(), y.get(), z.get()};
+        want.resize(expected.size());
+        EXPECT_EQ(operandNodes(rebuilt), want);
+    }
+    // The rebuild goes through the folding factories.
+    PrimExpr folded = mapOperands(
+        add(a, b), [](const PrimExpr&) { return intImm(2); });
+    EXPECT_TRUE(isConstInt(folded, 4));
 }
 
 TEST(EvalTest, EvaluatesArithmetic)

@@ -189,6 +189,51 @@ TEST(WorkspaceLiftTest, Figure11LiftsSplitKWorkspace)
     EXPECT_EQ(call->args.size(), 4u);
 }
 
+TEST(WorkspaceLiftTest, LiftsWorkspaceNestedInALoop)
+{
+    // for b in range(4):
+    //   workspace = alloc_buffer((8), "f32", "global")
+    //   for i in range(8): workspace[i] = A[b, i] * 2
+    //   for i in range(8): Y[b, i] = workspace[i]
+    tir::Buffer a = tir::makeBuffer("A", DataType::f32(),
+                                    {intImm(4), intImm(8)});
+    tir::Buffer y = tir::makeBuffer("Y", DataType::f32(),
+                                    {intImm(4), intImm(8)});
+    tir::Buffer ws = tir::makeBuffer("workspace", DataType::f32(),
+                                     {intImm(8)});
+    ::relax::Var b = var("b"), i = var("i"), j = var("j");
+    tir::Stmt fill = tir::makeFor(
+        i, intImm(8),
+        tir::makeStore(ws, {i},
+                       mul(tir::bufferLoad(a, {b, i}), floatImm(2.0))));
+    tir::Stmt drain = tir::makeFor(
+        j, intImm(8), tir::makeStore(y, {b, j}, tir::bufferLoad(ws, {j})));
+    tir::Stmt body = tir::makeFor(
+        b, intImm(4),
+        tir::makeAllocBuffer(ws, "global", tir::makeSeq({fill, drain})));
+    auto module = IRModule::create();
+    GlobalVar gv =
+        module->addTIRFunc(tir::makePrimFunc("scaled_copy", {a, y}, body));
+    shape::BlockBuilder builder(module);
+    Var x = makeVar("x", tensorSInfo({intImm(4), intImm(8)},
+                                     DataType::f32()));
+    builder.beginDataflowBlock();
+    Var out = builder.emitOutput(
+        callTIR(gv, {x}, tensorSInfo({intImm(4), intImm(8)},
+                                     DataType::f32())));
+    builder.endBlock();
+    module->addFunction("main", makeFunction({x}, builder.finish(out),
+                                             out->structInfo()));
+
+    module = workspaceLiftingPass().run(module);
+    wellFormed(module);
+
+    // The kernel reads the workspace it is passed, not a private copy.
+    tir::PrimFunc lifted = module->getTIRFunc("scaled_copy");
+    EXPECT_EQ(lifted->params.size(), 3u); // A, workspace, Y
+    EXPECT_FALSE(tir::findGlobalWorkspace(lifted).has_value());
+}
+
 TEST(WorkspaceLiftTest, LiftedWorkspaceJoinsMemoryPlan)
 {
     // After lifting, the workspace participates in storage reuse: it can

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
 
 #include "arith/structural.h"
 #include "tir/builder.h"
@@ -109,6 +111,172 @@ TEST(TirTest, SubstituteRewritesBuffersAndVars)
     EXPECT_EQ(accesses.writes[0].buffer.get(), z.get());
     const auto* loop = static_cast<const ForNode*>(rewritten.get());
     EXPECT_TRUE(isConstInt(loop->extent, 16));
+}
+
+/** The buffers of loads and the vars reached by the tir walk, in order. */
+std::vector<const void*>
+leaves(const PrimExpr& expr)
+{
+    std::vector<const void*> out;
+    if (expr->kind() == ExprKind::kBufferLoad) {
+        out.push_back(static_cast<const BufferLoadNode*>(expr.get())
+                          ->buffer.get());
+    } else if (expr->kind() == ExprKind::kVar) {
+        out.push_back(expr.get());
+    }
+    for (const PrimExpr& operand : operandsAndIndices(expr)) {
+        for (const void* leaf : leaves(operand)) out.push_back(leaf);
+    }
+    return out;
+}
+
+TEST(TirTest, SubstituteExprMapsUnderEveryCompositeKind)
+{
+    Var n = var("n"), m = var("m");
+    Buffer x = makeBuffer("X", DataType::i64(), {intImm(8)});
+    Buffer x2 = makeBuffer("X2", DataType::i64(), {intImm(8)});
+    VarMap vmap{{n.get(), m}};
+    BufferMap bmap{{x.get(), x2}};
+    PrimExpr load = bufferLoad(x, {n});
+    std::vector<PrimExpr> composites = {
+        add(load, n), sub(load, n), mul(load, n), div(load, n),
+        floordiv(load, n), floormod(load, n), minExpr(load, n),
+        maxExpr(load, n), eq(load, n), ne(load, n), lt(load, n),
+        le(load, n), gt(load, n), ge(load, n), logicalAnd(load, n),
+        logicalOr(load, n), logicalNot(load), cast(load, DataType::f32()),
+        select(load, n, load), callIntrin("pow", {load, n}, DataType::i64()),
+        bufferLoad(x, {bufferLoad(x, {n})}),
+    };
+    for (const PrimExpr& expr : composites) {
+        SCOPED_TRACE(toString(makeStore(x, {intImm(0)}, expr)));
+        PrimExpr out = substituteExpr(expr, vmap, bmap);
+        EXPECT_EQ(out->kind(), expr->kind());
+        std::vector<const void*> want;
+        for (const void* leaf : leaves(expr)) {
+            want.push_back(leaf == x.get()   ? (const void*)x2.get()
+                           : leaf == n.get() ? (const void*)m.get()
+                                             : leaf);
+        }
+        EXPECT_EQ(leaves(out), want);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Traversal helpers
+// ---------------------------------------------------------------------------
+
+TEST(TraversalTest, LoadOperandsAreItsIndices)
+{
+    Var i = var("i"), j = var("j");
+    Buffer x = makeBuffer("X", DataType::f32(), {intImm(4), intImm(4)});
+    PrimExpr load = bufferLoad(x, {i, j});
+    // arith sees a load as a leaf; the tir walk reaches its indices.
+    EXPECT_EQ(operands(load).size(), 0u);
+    Operands indices = operandsAndIndices(load);
+    ASSERT_EQ(indices.size(), 2u);
+    EXPECT_EQ(indices[0].get(), i.get());
+    EXPECT_EQ(indices[1].get(), j.get());
+    PrimExpr sum = add(i, j);
+    ASSERT_EQ(operandsAndIndices(sum).size(), 2u);
+    EXPECT_EQ(operandsAndIndices(sum)[1].get(), j.get());
+}
+
+/** One statement of every kind, with its children in field order. */
+struct StmtCase
+{
+    Stmt stmt;
+    std::vector<const void*> children;
+};
+
+std::vector<StmtCase>
+stmtOfEveryKind()
+{
+    Var i = var("i"), j = var("j"), n = var("n");
+    Buffer y = makeBuffer("Y", DataType::f32(), {n, n});
+    Buffer ws = makeBuffer("W", DataType::f32(), {n});
+    PrimExpr value = floatImm(1.0);
+    Stmt store = makeStore(y, {i, j}, value);
+    Stmt other = makeStore(y, {j, i}, value);
+    PrimExpr cond = lt(i, j);
+    return {
+        {makeFor(i, n, store), {n.get(), store.get()}},
+        {store, {i.get(), j.get(), value.get()}},
+        {makeIf(cond, store, other), {cond.get(), store.get(), other.get()}},
+        {makeIf(cond, store), {cond.get(), store.get()}},
+        {makeSeq({store, other, store}),
+         {store.get(), other.get(), store.get()}},
+        {makeAllocBuffer(ws, "global", store), {store.get()}},
+    };
+}
+
+std::vector<const void*>
+childNodes(const Stmt& stmt)
+{
+    std::vector<const void*> out;
+    forEachChild(
+        stmt, [&](const PrimExpr& expr) { out.push_back(expr.get()); },
+        [&](const Stmt& sub) { out.push_back(sub.get()); });
+    return out;
+}
+
+TEST(TraversalTest, StmtChildrenOfEveryKindInFieldOrder)
+{
+    std::set<StmtKind> kinds;
+    for (const auto& c : stmtOfEveryKind()) {
+        SCOPED_TRACE(toString(c.stmt));
+        kinds.insert(c.stmt->kind());
+        EXPECT_EQ(childNodes(c.stmt), c.children);
+    }
+    EXPECT_EQ(kinds.size(), static_cast<size_t>(StmtKind::kAllocBuffer) + 1);
+}
+
+TEST(TraversalTest, StmtIdentityRebuildReturnsTheSameNode)
+{
+    for (const auto& c : stmtOfEveryKind()) {
+        SCOPED_TRACE(toString(c.stmt));
+        Stmt same = mapChildren(
+            c.stmt, [](const PrimExpr& expr) { return expr; },
+            [](const Stmt& sub) { return sub; });
+        EXPECT_EQ(same.get(), c.stmt.get());
+    }
+}
+
+TEST(TraversalTest, StmtRebuildKeepsKindAndNonChildFields)
+{
+    Var k = var("k");
+    PrimExpr one = floatImm(2.0);
+    Stmt leaf = makeStore(makeBuffer("Z", DataType::f32(), {k}), {k}, one);
+    for (const auto& c : stmtOfEveryKind()) {
+        SCOPED_TRACE(toString(c.stmt));
+        Stmt rebuilt = mapChildren(
+            c.stmt, [&](const PrimExpr&) -> PrimExpr { return k; },
+            [&](const Stmt&) { return leaf; });
+        ASSERT_NE(rebuilt.get(), c.stmt.get());
+        EXPECT_EQ(rebuilt->kind(), c.stmt->kind());
+        std::vector<const void*> want;
+        forEachChild(
+            c.stmt, [&](const PrimExpr&) { want.push_back(k.get()); },
+            [&](const Stmt&) { want.push_back(leaf.get()); });
+        EXPECT_EQ(childNodes(rebuilt), want);
+        // Loop vars, buffers and scopes are not children: they are kept.
+        EXPECT_EQ(collectLoopVars(rebuilt).empty(),
+                  c.stmt->kind() != StmtKind::kFor);
+        if (c.stmt->kind() == StmtKind::kFor) {
+            EXPECT_EQ(collectLoopVars(rebuilt)[0],
+                      collectLoopVars(c.stmt)[0]);
+        }
+        if (c.stmt->kind() == StmtKind::kAllocBuffer) {
+            auto before = collectAllocations(c.stmt);
+            auto after = collectAllocations(rebuilt);
+            ASSERT_EQ(after.size(), 1u);
+            EXPECT_EQ(after[0].buffer, before[0].buffer);
+            EXPECT_EQ(after[0].scope, "global");
+        }
+        if (c.stmt->kind() == StmtKind::kBufferStore) {
+            EXPECT_EQ(collectAccesses(rebuilt).writes[0].buffer,
+                      collectAccesses(c.stmt).writes[0].buffer);
+        }
+    }
 }
 
 TEST(TirTest, UnifyShapesBindsVariables)
@@ -305,6 +473,44 @@ TEST(InterpreterTest, IntegerBitManipulationViaDivMod)
     run(decode, {d, o});
     for (int64_t k = 0; k < 8; ++k) {
         EXPECT_DOUBLE_EQ(o.at(k), (double)k - 7.0) << "nibble " << k;
+    }
+}
+
+TEST(InterpreterTest, FloorDivisionAgreesWithFolderAndEvalInt)
+{
+    // Floor semantics: the quotient rounds toward negative infinity and
+    // the remainder takes the divisor's sign.
+    struct Row
+    {
+        int64_t a, b, quotient, remainder;
+    };
+    const Row table[] = {
+        {7, 2, 3, 1}, {7, -2, -4, -1}, {-7, 2, -4, 1}, {-7, -2, 3, -1}};
+    Var a = var("a"), b = var("b");
+    Buffer out = makeBuffer("O", DataType::i64(), {intImm(2)});
+    PrimFunc divmod = makePrimFunc(
+        "divmod", {out},
+        makeSeq({makeStore(out, {intImm(0)}, floordiv(a, b)),
+                 makeStore(out, {intImm(1)}, floormod(a, b))}),
+        {a, b});
+    for (const Row& row : table) {
+        SCOPED_TRACE(std::to_string(row.a) + " by " + std::to_string(row.b));
+        EXPECT_EQ(floorDiv(row.a, row.b), row.quotient);
+        EXPECT_EQ(floorMod(row.a, row.b), row.remainder);
+
+        EXPECT_TRUE(isConstInt(floordiv(intImm(row.a), intImm(row.b)),
+                               row.quotient));
+        EXPECT_TRUE(isConstInt(floormod(intImm(row.a), intImm(row.b)),
+                               row.remainder));
+
+        VarBinding binding{{a.get(), row.a}, {b.get(), row.b}};
+        EXPECT_EQ(evalInt(floordiv(a, b), binding), row.quotient);
+        EXPECT_EQ(evalInt(floormod(a, b), binding), row.remainder);
+
+        NDArray result = NDArray::zeros({2}, DataType::i64());
+        run(divmod, {result}, {row.a, row.b});
+        EXPECT_DOUBLE_EQ(result.at(0), (double)row.quotient);
+        EXPECT_DOUBLE_EQ(result.at(1), (double)row.remainder);
     }
 }
 
