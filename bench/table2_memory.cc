@@ -24,7 +24,7 @@ main()
         cfg.fixedBatch = 1;
         CompiledModel model = compileModel(cfg, spec, options);
         for (int64_t tokens : {128, 256, 512, 1024}) {
-            model.machine->invoke("prefill", prefillArgs(cfg, 1, tokens));
+            model.machine->invoke("prefill", prefillArgs(model, 1, tokens));
         }
         return (double)model.dev->totalAllocatedBytes() / (1 << 20);
     };
@@ -39,7 +39,7 @@ main()
             CompiledModel model = compileModel(cfg, spec, options);
             for (int step = 0; step < 4; ++step) {
                 model.machine->invoke("decode",
-                                      decodeArgs(cfg, batch, 128 + step));
+                                      decodeArgs(model, batch, 128 + step));
             }
             total += (double)model.dev->totalAllocatedBytes() / (1 << 20);
         }

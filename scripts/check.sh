@@ -26,18 +26,28 @@ if [[ "${SKIP_BENCH:-0}" == 1 ]]; then
   exit 0
 fi
 
-# Smoke-run the bench harness (timing mode, fast) so driver rot is caught:
-# one paper-figure driver plus the serving-throughput driver; the
-# repository benchmark (perf/) is smoked last.
-echo "== bench smoke: fig14 nvidia decode"
-./bench_fig14_nvidia_decode > /dev/null
+# Smoke-run the bench harness (timing mode) so driver rot is caught:
+# every paper figure and table driver, the compiler micro-benchmarks
+# when Google Benchmark was found, then the serving drivers; the
+# repository benchmark (perf/) is smoked last. Each fails on a nonzero
+# exit status.
+for driver in fig14_nvidia_decode fig15_amd_decode fig16_apple_decode \
+              fig17_ablation fig18_s24 fig19_whisper fig20_llava \
+              table2_memory table3_platforms; do
+  echo "== bench smoke: $driver"
+  "./bench_$driver" > /dev/null
+done
+if [[ -x ./bench_micro_compiler ]]; then
+  echo "== bench smoke: micro compiler"
+  ./bench_micro_compiler --benchmark_min_time=0.01 > /dev/null
+fi
 
 # Every gate below reads an exit status or a JSON snapshot, never stdout.
-# The serving binary itself fails (exit 1) on nonzero host cache relayout
-# (DESIGN.md §5), FCFS throughput under its 256 tok/s floor, a post-warmup
-# decode replay hit-rate under 80% (bucketed capture regressed into
-# re-capturing), fewer than 3 in-place rewrites on the decode path
-# (DESIGN.md §9), and a missed or non-saving shared-prefix match.
+# The serving binary itself fails (exit 1) on FCFS throughput under its
+# 256 tok/s floor, a post-warmup decode replay hit-rate under 80%
+# (bucketed capture regressed into re-capturing), fewer than 3 in-place
+# rewrites on the decode path (DESIGN.md §9), and a missed or
+# non-saving shared-prefix match.
 echo "== bench smoke: serve throughput"
 ./bench_serve_throughput
 
@@ -51,8 +61,8 @@ sys.exit(0 if eval(sys.argv[1]) else 1)' "$@"
 
 # Speculative decoding gates (DESIGN.md §8). The --spec-k run sweeps
 # synthetic acceptance rates; the binary gates the per-rate invariants
-# (one target call per step, zero relayout, pool within budget, token
-# counts unchanged) and fails unless tokens/s uplift at 0.95 acceptance
+# (one target call per step, pool within budget, token counts
+# unchanged) and fails unless tokens/s uplift at 0.95 acceptance
 # exceeds 1.0x. Here we pin that merely carrying the speculation
 # machinery does not perturb the non-speculative path: the run's
 # "policies" results must equal the plain run's.

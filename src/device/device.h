@@ -146,19 +146,21 @@ class SimDevice
         clockUs_ += us;
     }
 
-    /** Allocates device memory; throws when VRAM is exhausted. */
+    /** Allocates device memory; throws when VRAM is exhausted, leaving
+     *  the accounting and the trace untouched. */
     void
     alloc(int64_t bytes)
     {
+        if (allocatedBytes_ + bytes > spec_.vramBytes) {
+            RELAX_THROW(RuntimeError)
+                << spec_.name << ": out of device memory ("
+                << allocatedBytes_ + bytes << " bytes requested, "
+                << spec_.vramBytes << " available)";
+        }
         allocatedBytes_ += bytes;
         totalAllocatedBytes_ += bytes;
         peakBytes_ = std::max(peakBytes_, allocatedBytes_);
         if (trace().enabled()) traceMemory("alloc", bytes);
-        if (allocatedBytes_ > spec_.vramBytes) {
-            RELAX_THROW(RuntimeError)
-                << spec_.name << ": out of device memory (" << allocatedBytes_
-                << " bytes requested, " << spec_.vramBytes << " available)";
-        }
     }
 
     void

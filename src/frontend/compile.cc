@@ -36,7 +36,6 @@ targetFromDevice(const device::DeviceSpec& spec,
     target.supportsExecutionGraphs =
         options.enableGraphOffload && spec.supportsExecutionGraphs;
     target.graphBucketTokens = std::max<int64_t>(options.graphBucketTokens, 1);
-    target.libraryGemmMinRows = options.libraryGemmMinRows;
     return target;
 }
 

@@ -36,8 +36,6 @@ struct CompileOptions
      * KV block size so graph buckets align with KV page boundaries.
      */
     int64_t graphBucketTokens = 0;
-    /** Minimum GEMM row count for library dispatch (see TargetInfo). */
-    int64_t libraryGemmMinRows = 2;
     /**
      * Tensor-parallel shard count. When > 1, ShardPass rewrites
      * `decode_ragged` into the per-shard program of an N-way device

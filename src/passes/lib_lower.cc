@@ -20,6 +20,10 @@ using CallNode = ir::CallNode;
 
 namespace {
 
+/** Library GEMM pays off only for batch*seq >= this many rows; below it
+ *  the compiler-generated matrix-vector kernel wins (§5.1 batch-1 case). */
+constexpr int64_t kLibraryGemmMinRows = 2;
+
 /** Evaluates the "row count" (product of all but the last output dim)
  *  when it is a compile-time constant; nullopt when symbolic. */
 std::optional<int64_t>
@@ -52,7 +56,7 @@ tryLowerToLibrary(const Expr& value, const TargetInfo& target)
         // products keep the generated kernel (§5.1). Symbolic row counts
         // (sequence length) default to the library.
         auto rows = constRowCount(out_sinfo);
-        if (!rows || *rows >= target.libraryGemmMinRows) {
+        if (!rows || *rows >= kLibraryGemmMinRows) {
             Call lowered = callDPSLibrary(*target.gemmLibrary + ".matmul",
                                           call->args, out_sinfo);
             lowered->attrs = call->attrs;

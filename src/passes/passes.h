@@ -37,11 +37,6 @@ struct TargetInfo
      * the context length every step). 1 = exact signatures.
      */
     int64_t graphBucketTokens = 1;
-    /**
-     * Library GEMM pays off only for batch*seq >= this many rows; below it
-     * the compiler-generated matrix-vector kernel wins (§5.1 batch-1 case).
-     */
-    int64_t libraryGemmMinRows = 2;
 };
 
 /** Upper bounds for symbolic variables (by name), used for static memory

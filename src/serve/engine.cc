@@ -7,8 +7,8 @@
  * one token each, with copy-on-write and eviction under memory pressure —
  * plus request bookkeeping and the virtual-clock statistics (see
  * engine.h). Cache data never moves on the host: every phase addresses
- * the persistent pool through the block table, so
- * EngineStats::relayoutBytes stays 0.
+ * the persistent pool through the block table (kv_cache.h says why no
+ * relayout can happen).
  */
 #include "serve/engine.h"
 
@@ -148,7 +148,7 @@ Engine::Engine(vm::ExecutablePtr exec,
     // internally, so admission decisions (and therefore the token
     // streams) are identical at every tensorParallel.
     target.kv = std::make_unique<KVCacheManager>(
-        config_, machine(), budget, options_.kvBlockTokens, target.rankVms());
+        config_, target.rankVms(), budget, options_.kvBlockTokens);
     // The scheduler stamps lifecycle instants with the device clock +
     // TraceRecorder.
     scheduler_.attachDevice(&machine().dev());
@@ -240,7 +240,7 @@ Engine::enableSpeculation(vm::ExecutablePtr draft_exec,
     draft.ranks[0]->setGraphKeyspace("draft");
     draft.weights.push_back(std::move(draft_weights));
     draft.kv = std::make_unique<KVCacheManager>(
-        spec.draftConfig, *draft.ranks[0], draftPoolBytes(spec, options_),
+        spec.draftConfig, draft.rankVms(), draftPoolBytes(spec, options_),
         options_.kvBlockTokens);
     meters_.specAccepted = &metrics_.histogram("serve.spec_accepted");
     meters_.specAcceptanceRate =
@@ -328,7 +328,8 @@ Engine::appendToken(const SequenceStatePtr& seq, int64_t token)
     seq->stats.lastTokenUs = now;
     // Done by budget/stop token, or the cache hit the trained context
     // window and cannot grow another position.
-    if (seq->done() || seq->ctxLen >= config_.maxContext) {
+    if (seq->done() ||
+        kv().committedTokens(seq->request.id) >= config_.maxContext) {
         finishSequence(seq);
     }
 }
@@ -360,10 +361,9 @@ Engine::evict(const SequenceStatePtr& victim)
         trace.instant(trace_lanes::kEngine, trace_lanes::kRequests,
                       "evict", "lifecycle", machine().dev().clockUs(),
                       {{"request", victim->request.id},
-                       {"ctx_len", victim->ctxLen},
+                       {"ctx_len", kv().committedTokens(victim->request.id)},
                        {"generated", (int64_t)victim->generated.size()}});
     }
-    victim->ctxLen = 0;
     // The draft cache rebuilds by catch-up after re-admission, exactly
     // as the target re-prefills.
     for (Model& model : models_) model.kv->release(victim->request.id);
@@ -381,13 +381,14 @@ Engine::ensureWritable(const SequenceStatePtr& seq, int64_t tokens,
                        int64_t write_start)
 {
     // Capacity plus exclusive ownership of the write range; evict the
-    // most recently admitted sequence while the pool cannot provide it.
+    // most recently admitted sequence (lowest priority, least sunk
+    // prefill work) while the pool cannot provide it. That is the back
+    // of running_: admission appends, nothing reorders.
     // Evicting a prefix-sharing reader can itself unshare the range, so
     // the condition is re-checked every round.
     if (seq->phase != RequestPhase::kRunning) return;
-    while (!kv().canHoldWrite(seq->request.id, tokens, write_start)) {
-        SequenceStatePtr victim = Scheduler::pickVictim(running_);
-        RELAX_ICHECK(victim) << "no eviction victim";
+    while (!kv().canHold(seq->request.id, tokens, write_start)) {
+        SequenceStatePtr victim = running_.back();
         if (victim == seq && running_.size() == 1) {
             RELAX_THROW(RuntimeError)
                 << "KV budget (" << kv().budgetBytes()
@@ -397,7 +398,7 @@ Engine::ensureWritable(const SequenceStatePtr& seq, int64_t tokens,
         evict(victim);
         if (victim == seq) return;
     }
-    kv().reserveWrite(seq->request.id, tokens, write_start);
+    kv().reserve(seq->request.id, tokens, write_start);
 }
 
 NDArray
@@ -410,9 +411,8 @@ Engine::invokeRagged(Model& model, const std::vector<RequestId>& order,
         table_width = std::max(table_width, kv.pagesOf(id));
     }
     // ids, lens, cu_fresh and the block table are the only
-    // host-marshalled inputs; cache data stays in the pool
-    // (relayoutBytes stays 0 — any future host-side cache copy must be
-    // added to that counter). Every rank gets the SAME host metadata
+    // host-marshalled inputs; cache data stays in the pool, whose
+    // tensors pass by handle. Every rank gets the SAME host metadata
     // tensors (shared handles — there is one logical batch) but its own
     // pool slice and weight slice.
     NDArray ids = packedIdsTensor(tokens, machine().dataMode());
@@ -458,7 +458,7 @@ Engine::proposeDrafts(const std::vector<SequenceStatePtr>& rows,
         for (const SequenceStatePtr& seq : rows) {
             RequestId id = seq->request.id;
             int64_t have = draft_kv.committedTokens(id);
-            int64_t want = seq->ctxLen;
+            int64_t want = kv().committedTokens(id);
             if (have >= want || total >= cap) continue;
             int64_t take = std::min(want - have, cap - total);
             std::vector<int64_t> stream = seq->prefillTokens();
@@ -466,7 +466,7 @@ Engine::proposeDrafts(const std::vector<SequenceStatePtr>& rows,
                                 stream.begin() + have + take);
             order.push_back(id);
             new_commits.push_back(have + take);
-            draft_kv.reserveWrite(id, have + take, have);
+            draft_kv.reserve(id, have + take, have);
             total += take;
         }
         if (order.empty()) break;
@@ -486,7 +486,6 @@ Engine::proposeDrafts(const std::vector<SequenceStatePtr>& rows,
     for (int64_t j = 0; j < max_k; ++j) {
         std::vector<RequestId> order;
         std::vector<std::vector<int64_t>> toks;
-        std::vector<SequenceStatePtr> call_rows;
         for (const SequenceStatePtr& seq : rows) {
             RequestId id = seq->request.id;
             auto it = spec_k.find(id);
@@ -494,11 +493,10 @@ Engine::proposeDrafts(const std::vector<SequenceStatePtr>& rows,
             const SpecPlan& plan = plans[id];
             int64_t tok = j == 0 ? seq->generated.back()
                                  : plan.drafts.back();
-            draft_kv.reserveWrite(id, seq->ctxLen + j + 1,
-                                  seq->ctxLen + j);
+            int64_t ctx = kv().committedTokens(id);
+            draft_kv.reserve(id, ctx + j + 1, ctx + j);
             order.push_back(id);
             toks.push_back({tok});
-            call_rows.push_back(seq);
         }
         if (order.empty()) break;
         NDArray logits = invokeRagged(draft, order, toks);
@@ -518,7 +516,8 @@ Engine::proposeDrafts(const std::vector<SequenceStatePtr>& rows,
                 plan.drafts.push_back(
                     draft.sampler.sampleSynthetic(config_.vocabSize));
             }
-            draft_kv.commit(order[r], call_rows[r]->ctxLen + j + 1);
+            draft_kv.commit(order[r],
+                            kv().committedTokens(order[r]) + j + 1);
         }
     }
 
@@ -544,32 +543,23 @@ Engine::step()
 
     std::vector<SequenceStatePtr> admitted =
         scheduler_.admit(kv(), (int64_t)running_.size());
-    for (const SequenceStatePtr& seq : admitted) {
-        seq->admitSeq = nextAdmitSeq_++;
-        running_.push_back(seq);
-    }
+    running_.insert(running_.end(), admitted.begin(), admitted.end());
 
     int64_t spec_budget =
         speculationEnabled() ? options_.speculation.draftTokens : 0;
 
-    // Own every row's write range up front (this may evict, including
-    // rows admitted above — phases are re-checked when the batch is
-    // built). Admitted rows write their fresh prompt tail starting at
-    // the committed (possibly prefix-matched) offset; running rows grow
-    // by one decode position plus their speculation window. The whole
-    // sweep shares one COW pricing batch, so b sequences copying shared
-    // pages in the same step pay one burst launch, not b.
+    // Own every decoding row's write range up front: one decode position
+    // plus its speculation window. This may evict, including rows
+    // admitted above — phases are re-checked when the batch is built.
+    // Admission already reserved the admitted rows' fresh prompt tails,
+    // which start at the prefix-matched offset, past every shared page.
+    // The sweep's copy-on-write copies price as one burst at the flush
+    // below, so b sequences copying shared pages pay one launch, not b.
     std::map<RequestId, int64_t> spec_k;
-    std::vector<SequenceStatePtr> members = running_;
-    kv().beginCowBatch();
-    for (const SequenceStatePtr& seq : members) {
-        bool is_admitted = std::find(admitted.begin(), admitted.end(),
-                                     seq) != admitted.end();
-        if (is_admitted) {
-            ensureWritable(seq, seq->prefillLength(),
-                           kv().committedTokens(seq->request.id));
-            continue;
-        }
+    std::vector<SequenceStatePtr> decoding(
+        running_.begin(), running_.end() - (std::ptrdiff_t)admitted.size());
+    for (const SequenceStatePtr& seq : decoding) {
+        int64_t ctx = kv().committedTokens(seq->request.id);
         int64_t k_row = 0;
         if (spec_budget > 0) {
             // Per-row window: never propose past the request's token
@@ -579,19 +569,18 @@ Engine::step()
             k_row = std::min(spec_budget,
                              seq->request.maxNewTokens -
                                  (int64_t)seq->generated.size() - 1);
-            k_row = std::min(k_row, config_.maxContext - seq->ctxLen - 1);
+            k_row = std::min(k_row, config_.maxContext - ctx - 1);
             k_row = std::max<int64_t>(k_row, 0);
             while (k_row > 0 &&
-                   !kv().canHoldWrite(seq->request.id,
-                                      seq->ctxLen + 1 + k_row,
-                                      seq->ctxLen)) {
+                   !kv().canHold(seq->request.id, ctx + 1 + k_row, ctx)) {
                 --k_row;
             }
         }
-        ensureWritable(seq, seq->ctxLen + 1 + k_row, seq->ctxLen);
+        ensureWritable(seq, ctx + 1 + k_row, ctx);
         if (k_row > 0) spec_k[seq->request.id] = k_row;
     }
-    kv().flushCowBatch();
+    // The draft pool never shares a page, so its flush prices nothing.
+    for (Model& model : models_) model.kv->flushCowBatch();
 
     // Draft proposals for the rows that survived the reservation sweep
     // (eviction may have reclaimed some).
@@ -673,8 +662,7 @@ Engine::step()
                           {{"request", id}, {"tokens", fresh}});
         }
         if (is_prefill[row]) {
-            seq->ctxLen = seq->prefillLength();
-            kv().commit(id, seq->ctxLen);
+            kv().commit(id, seq->prefillLength());
             seq->stats.prefillTokens += fresh;
             stats_.prefillTokens += fresh;
             // Register the freshly committed page-aligned blocks in the
@@ -687,8 +675,7 @@ Engine::step()
         if (plan_it == plans.end()) {
             // Plain decode row (speculation off, or this row's window
             // collapsed to zero).
-            seq->ctxLen += 1;
-            kv().commit(id, seq->ctxLen);
+            kv().commit(id, kv().committedTokens(id) + 1);
             appendToken(seq, sampleFor(logits, packed_end - 1));
             continue;
         }
@@ -721,8 +708,7 @@ Engine::step()
         for (int64_t i = 0;
              i <= acc.accepted && seq->phase == RequestPhase::kRunning;
              ++i) {
-            seq->ctxLen += 1;
-            kv().commit(id, seq->ctxLen);
+            kv().commit(id, kv().committedTokens(id) + 1);
             appendToken(seq, i < acc.accepted ? plan.drafts[i] : acc.next);
         }
         if (trace.enabled()) {
@@ -739,9 +725,8 @@ Engine::step()
             // whole pages and drops any index entry the rewind
             // invalidated (the draft's is clamped to a no-op when every
             // draft survived).
-            for (Model& model : models_) {
-                model.kv->truncate(id, seq->ctxLen);
-            }
+            int64_t ctx = kv().committedTokens(id);
+            for (Model& model : models_) model.kv->truncate(id, ctx);
         }
     }
 

@@ -15,11 +15,11 @@
  * chunk and an n=1 decode coexist in the same call — there is no
  * grouping loop and `decode calls == steps` by construction.
  *
- * The pool tensors pass through the call and are mutated in place
- * (`kv.append_ragged` aliases its output to the pool), so the engine
- * never copies cache bytes on the host: EngineStats::relayoutBytes
- * counts any host-side cache relayout and must read 0 — the tripwire
- * scripts/check.sh gates. Prompt prefixes dedupe automatically: the
+ * The pool tensors pass through the call by handle and are mutated in
+ * place (`kv.append_ragged` aliases its output to the pool), so the
+ * engine never copies cache bytes on the host: a copied pool would lose
+ * the call's writes, and the data-mode token oracles would diverge from
+ * sequential runs. Prompt prefixes dedupe automatically: the
  * KV manager indexes committed page-aligned blocks by chained content
  * hash, and admission maps a new request onto any indexed pages whose
  * verified content matches its prompt (KVCacheManager::matchPrefix) —
@@ -31,7 +31,8 @@
  * batch, the packed token count or the table width crosses a bucket
  * boundary: consecutive pure-decode steps replay one captured execution
  * graph (EngineStats::decodeReplayHitRate). Under memory pressure decode
- * growth evicts the most recently admitted sequence; evicted requests
+ * growth evicts the most recently admitted sequence (the back of the
+ * running list: admission appends, nothing reorders); evicted requests
  * re-prefill prompt+generated on re-admission (re-matching whatever
  * prefix is still indexed), so outputs are preserved exactly.
  *
@@ -154,15 +155,6 @@ struct EngineStats
     int64_t requestsFinished = 0;
     int64_t evictions = 0;
     double busyUs = 0.0;      //!< device-clock time spent inside step()
-
-    /**
-     * Host-side KV-cache bytes copied to relayout tensors for a compiled
-     * call. The page-pool path addresses the cache in place through the
-     * block table, so this must stay 0; any future host-side cache copy
-     * must add to it (the zero-relayout invariant, DESIGN.md §5, gated
-     * by bench_serve_throughput and scripts/check.sh).
-     */
-    int64_t relayoutBytes = 0;
 
     // Execution-graph counters of pure-decode steps: with bucketed capture
     // the steady state should be almost all replays (the Fig. 17
@@ -438,7 +430,6 @@ class Engine
         std::vector<Gauge*> devicePeak;  //!< device.<i>.peak_bytes
     } meters_;
     RequestId nextId_ = 0;
-    int64_t nextAdmitSeq_ = 0;
 };
 
 } // namespace serve

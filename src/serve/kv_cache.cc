@@ -14,39 +14,37 @@ namespace relax {
 namespace serve {
 
 KVCacheManager::KVCacheManager(const frontend::LlamaConfig& config,
-                               vm::VirtualMachine& machine,
-                               int64_t budgetBytes, int64_t blockTokens,
-                               std::vector<vm::VirtualMachine*> shards)
-    : machine_(machine), shards_(std::move(shards)),
-      blockTokens_(blockTokens),
+                               std::vector<vm::VirtualMachine*> ranks,
+                               int64_t budgetBytes, int64_t blockTokens)
+    : ranks_(std::move(ranks)), blockTokens_(blockTokens),
       bytesPerBlock_(config.kvBytesPerToken() * blockTokens),
       budgetBytes_(budgetBytes),
       totalBlocks_(bytesPerBlock_ > 0 ? budgetBytes / bytesPerBlock_ : 0)
 {
     RELAX_ICHECK(blockTokens_ > 0) << "KV block size must be positive";
     RELAX_ICHECK(budgetBytes_ >= 0) << "negative KV budget";
-    if (shards_.empty()) shards_.push_back(&machine_);
-    int64_t n = (int64_t)shards_.size();
+    int64_t n = (int64_t)ranks_.size();
+    RELAX_ICHECK(n >= 1) << "KV pool needs at least one rank";
     RELAX_ICHECK(config.numHeads % n == 0)
         << "KV pool: " << config.numHeads << " heads not divisible by "
-        << n << " shards";
+        << n << " ranks";
 
     // The pool is resident for the manager's lifetime: one [p, h/N,
-    // block, d] tensor per layer per k/v on each shard's device, backed
+    // block, d] tensor per layer per k/v on each rank's device, backed
     // by one persistent allocation per device (vLLM preallocates its
     // page pool the same way). Page-table state is LOGICAL: one page id
-    // names the same rows of every shard's pools.
+    // names the same rows of every rank's pools.
     std::vector<int64_t> pool_shape{totalBlocks_, config.numHeads / n,
                                     blockTokens_, config.headDim};
-    poolStorages_.reserve(shards_.size());
-    pools_.resize(shards_.size());
-    for (size_t s = 0; s < shards_.size(); ++s) {
-        poolStorages_.push_back(shards_[s]->allocPersistentStorage(
+    poolStorages_.reserve(ranks_.size());
+    pools_.resize(ranks_.size());
+    for (size_t s = 0; s < ranks_.size(); ++s) {
+        poolStorages_.push_back(ranks_[s]->allocPersistentStorage(
             totalBlocks_ * bytesPerBlock_ / n));
         pools_[s].reserve(2 * (size_t)config.numLayers);
         for (int64_t layer = 0; layer < 2 * config.numLayers; ++layer) {
             pools_[s].push_back(
-                machine_.dataMode()
+                ranks_[0]->dataMode()
                     ? NDArray::zeros(pool_shape, DataType::f16())
                     : NDArray::metaOnly(pool_shape, DataType::f16()));
         }
@@ -64,8 +62,8 @@ KVCacheManager::~KVCacheManager()
 {
     // Return the whole pool to each device so engine teardown leaves the
     // accounting balanced.
-    for (size_t s = 0; s < shards_.size(); ++s) {
-        shards_[s]->releasePersistentStorage(poolStorages_[s]);
+    for (size_t s = 0; s < ranks_.size(); ++s) {
+        ranks_[s]->releasePersistentStorage(poolStorages_[s]);
     }
 }
 
@@ -80,15 +78,14 @@ KVCacheManager::acquirePage()
 {
     if (freePages_.empty()) {
         RELAX_THROW(RuntimeError)
-            << "KV page pool exhausted: " << usedBlocks_ << "/"
+            << "KV page pool exhausted: " << usedPages() << "/"
             << totalBlocks_ << " pages in use";
     }
     int64_t page = freePages_.back();
     freePages_.pop_back();
     RELAX_ICHECK(refCounts_[page] == 0) << "free page had references";
     refCounts_[page] = 1;
-    ++usedBlocks_;
-    peakBlocks_ = std::max(peakBlocks_, usedBlocks_);
+    peakBlocks_ = std::max(peakBlocks_, usedPages());
     return page;
 }
 
@@ -96,28 +93,15 @@ void
 KVCacheManager::copyPage(int64_t src, int64_t dst)
 {
     // A device-side page copy (cudaMemcpyDeviceToDevice): one page of
-    // K/V across every layer is read and written once. Priced on the
-    // simulated clock — copy-on-write is not free, it is just rare.
-    // Inside a COW batch the cost is deferred: one step's copies flush
-    // as a single burst launch instead of paying the per-launch
-    // overhead b times.
-    if (cowBatchActive_) {
-        ++cowBatchPages_;
-    } else {
-        // Each shard copies its 1/N slice of the page on its own device.
-        device::KernelCost cost;
-        cost.bytes =
-            2.0 * (double)bytesPerBlock_ / (double)shards_.size();
-        cost.flops = 0.0;
-        cost.efficiency = machine_.dev().spec().genElemwiseEfficiency;
-        for (vm::VirtualMachine* shard : shards_) {
-            shard->dev().launchKernel(cost, "kv.cow_copy_page");
-        }
-    }
+    // K/V across every layer is read and written once. Copy-on-write is
+    // not free, it is just rare: the cost joins the burst the next
+    // flushCowBatch() prices, so one step's copies pay the per-launch
+    // overhead once.
+    ++cowBatchPages_;
     ++cowCopies_;
-    if (!machine_.dataMode()) return;
-    for (auto& shard_pools : pools_) {
-        for (NDArray& pool : shard_pools) {
+    if (!ranks_[0]->dataMode()) return;
+    for (auto& rank_pools : pools_) {
+        for (NDArray& pool : rank_pools) {
             int64_t row =
                 pool.numel() / std::max<int64_t>(totalBlocks_, 1);
             auto& data = pool.data();
@@ -129,19 +113,8 @@ KVCacheManager::copyPage(int64_t src, int64_t dst)
 }
 
 bool
-KVCacheManager::canHold(RequestId seq, int64_t tokens) const
-{
-    int64_t owned = 0;
-    auto it = sequences_.find(seq);
-    if (it != sequences_.end()) owned = (int64_t)it->second.pages.size();
-    int64_t extra = blocksFor(tokens) - owned;
-    if (extra <= 0) return true;
-    return extra <= (int64_t)freePages_.size();
-}
-
-bool
-KVCacheManager::canHoldWrite(RequestId seq, int64_t tokens,
-                             int64_t writeStart) const
+KVCacheManager::canHold(RequestId seq, int64_t tokens,
+                        int64_t writeStart) const
 {
     int64_t owned = 0;
     const Sequence* state = nullptr;
@@ -159,17 +132,18 @@ KVCacheManager::canHoldWrite(RequestId seq, int64_t tokens,
             if (refCounts_[state->pages[idx]] > 1) ++needed;
         }
     }
-    return needed <= (int64_t)freePages_.size();
+    return needed <= freePages();
 }
 
 void
-KVCacheManager::reserve(RequestId seq, int64_t tokens)
+KVCacheManager::reserve(RequestId seq, int64_t tokens, int64_t writeStart)
 {
-    if (!canHold(seq, tokens)) {
+    if (!canHold(seq, tokens, writeStart)) {
         RELAX_THROW(RuntimeError)
-            << "KV budget exhausted: sequence " << seq << " needs "
-            << blocksFor(tokens) << " pages, " << usedBlocks_ << "/"
-            << totalBlocks_ << " in use";
+            << "KV budget exhausted: sequence " << seq
+            << " cannot own its write range up to " << tokens
+            << " positions (" << usedPages() << "/" << totalBlocks_
+            << " pages in use)";
     }
     Sequence& state = sequences_[seq];
     int64_t target = blocksFor(tokens);
@@ -177,25 +151,8 @@ KVCacheManager::reserve(RequestId seq, int64_t tokens)
         state.pages.push_back(acquirePage());
     }
     state.tokens = std::max(state.tokens, tokens);
-}
-
-void
-KVCacheManager::reserveWrite(RequestId seq, int64_t tokens,
-                             int64_t writeStart)
-{
-    if (!canHoldWrite(seq, tokens, writeStart)) {
-        RELAX_THROW(RuntimeError)
-            << "KV budget exhausted: sequence " << seq
-            << " cannot own its write range up to " << tokens
-            << " positions (" << usedBlocks_ << "/" << totalBlocks_
-            << " pages in use)";
-    }
-    reserve(seq, tokens);
     if (tokens <= writeStart) return;
-    Sequence& state = sequences_[seq];
-    int64_t first = writeStart / blockTokens_;
-    int64_t last = (tokens - 1) / blockTokens_;
-    for (int64_t idx = first; idx <= last; ++idx) {
+    for (int64_t idx = writeStart / blockTokens_; idx < target; ++idx) {
         int64_t page = state.pages[idx];
         if (refCounts_[page] <= 1) continue;
         // Copy-on-write: the writer repoints to a private copy; readers
@@ -204,10 +161,10 @@ KVCacheManager::reserveWrite(RequestId seq, int64_t tokens,
         copyPage(page, fresh);
         --refCounts_[page];
         state.pages[idx] = fresh;
-        TraceRecorder& trace = machine_.dev().trace();
+        TraceRecorder& trace = ranks_[0]->dev().trace();
         if (trace.enabled()) {
             trace.instant(trace_lanes::kEngine, trace_lanes::kKvPool,
-                          "cow_copy", "kv", machine_.dev().clockUs(),
+                          "cow_copy", "kv", ranks_[0]->dev().clockUs(),
                           {{"request", seq},
                            {"src_page", page},
                            {"dst_page", fresh}});
@@ -226,7 +183,6 @@ KVCacheManager::release(RequestId seq)
             // reacquired, so its prefix-index entry goes with it.
             unregisterPage(page);
             freePages_.push_back(page);
-            --usedBlocks_;
         }
     }
     sequences_.erase(it);
@@ -252,7 +208,6 @@ KVCacheManager::truncate(RequestId seq, int64_t tokens)
         if (--refCounts_[page] == 0) {
             unregisterPage(page);
             freePages_.push_back(page);
-            --usedBlocks_;
         }
     }
     state.pages.resize((size_t)keep);
@@ -276,10 +231,10 @@ KVCacheManager::truncate(RequestId seq, int64_t tokens)
     state.committed = new_committed;
     state.tokens = std::min(state.tokens, keep * blockTokens_);
     ++truncates_;
-    TraceRecorder& trace = machine_.dev().trace();
+    TraceRecorder& trace = ranks_[0]->dev().trace();
     if (trace.enabled()) {
         trace.instant(trace_lanes::kEngine, trace_lanes::kKvPool,
-                      "truncate", "kv", machine_.dev().clockUs(),
+                      "truncate", "kv", ranks_[0]->dev().clockUs(),
                       {{"request", seq},
                        {"tokens", new_committed},
                        {"pages_dropped", dropped}});
@@ -287,33 +242,23 @@ KVCacheManager::truncate(RequestId seq, int64_t tokens)
     return dropped;
 }
 
-void
-KVCacheManager::beginCowBatch()
-{
-    RELAX_ICHECK(!cowBatchActive_) << "COW batch already open";
-    cowBatchActive_ = true;
-    cowBatchPages_ = 0;
-}
-
 int64_t
 KVCacheManager::flushCowBatch()
 {
-    RELAX_ICHECK(cowBatchActive_) << "no COW batch open";
-    cowBatchActive_ = false;
     int64_t pages = cowBatchPages_;
     cowBatchPages_ = 0;
     if (pages == 0) return 0;
-    // All of the step's page copies land as one burst: the bytes add up
-    // but the launch overhead is paid once, the way a batched
-    // cudaMemcpyAsync sweep behaves. Each shard bursts its 1/N slice on
+    // All pending page copies land as one burst: the bytes add up but
+    // the launch overhead is paid once, the way a batched
+    // cudaMemcpyAsync sweep behaves. Each rank bursts its 1/N slice on
     // its own device.
     device::KernelCost cost;
     cost.bytes = 2.0 * (double)bytesPerBlock_ * (double)pages /
-                 (double)shards_.size();
+                 (double)ranks_.size();
     cost.flops = 0.0;
-    cost.efficiency = machine_.dev().spec().genElemwiseEfficiency;
-    for (vm::VirtualMachine* shard : shards_) {
-        shard->dev().launchKernel(cost, "kv.cow_copy_burst");
+    cost.efficiency = ranks_[0]->dev().spec().genElemwiseEfficiency;
+    for (vm::VirtualMachine* rank : ranks_) {
+        rank->dev().launchKernel(cost, "kv.cow_copy_burst");
     }
     return pages;
 }
@@ -439,10 +384,10 @@ KVCacheManager::matchPrefix(RequestId child,
     state.matched = state.tokens;
     ++prefixHits_;
     prefixTokensMatched_ += state.tokens;
-    TraceRecorder& trace = machine_.dev().trace();
+    TraceRecorder& trace = ranks_[0]->dev().trace();
     if (trace.enabled()) {
         trace.instant(trace_lanes::kEngine, trace_lanes::kKvPool,
-                      "prefix_hit", "kv", machine_.dev().clockUs(),
+                      "prefix_hit", "kv", ranks_[0]->dev().clockUs(),
                       {{"request", child},
                        {"tokens", state.tokens},
                        {"pages", (int64_t)state.pages.size()}});

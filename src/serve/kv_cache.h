@@ -17,18 +17,21 @@
  *    (verified byte-for-byte, never trusted from the hash alone)
  *    extends its matched chain (refcount++, zero copies) — shared
  *    system prompts are served once;
- *  - reserveWrite() enforces copy-on-write: before a sequence writes a
- *    page whose refcount exceeds one, the page is copied to a fresh one
- *    on the device (priced on the simulated clock) and the writer's
- *    table entry is repointed;
+ *  - reserve() enforces copy-on-write: before a sequence writes a page
+ *    whose refcount exceeds one, the page is copied to a fresh one on
+ *    the device (priced on the simulated clock) and the writer's table
+ *    entry is repointed;
  *  - eviction (release) returns pages to the pool only when their last
  *    reference drops, at which point their index entries are removed
  *    (the index never outlives page content).
  *
  * Cache *values* live in the pool tensors (real data in data mode,
  * metadata-only in timing mode); the compiled kernels mutate them in
- * place via the in-place `kv.append_ragged` library call, so the engine
- * never copies cache bytes on the host (EngineStats::relayoutBytes).
+ * place. No host relayout can happen: the engine passes the
+ * poolTensors() handles into every call and the in-place
+ * `kv.append_ragged` aliases them, so the next call reads what the last
+ * one wrote. A copied pool would lose those writes, and the data-mode
+ * token oracles would diverge from sequential runs.
  */
 #ifndef RELAX_SERVE_KV_CACHE_H_
 #define RELAX_SERVE_KV_CACHE_H_
@@ -54,26 +57,23 @@ class KVCacheManager
      * resident as VM persistent storage for the manager's lifetime.
      *
      * @param config      model whose kvBytesPerToken() prices a position
-     * @param machine     VM whose device accounts the pool (and whose
-     *                    data mode decides real vs metadata-only pools)
-     * @param budgetBytes hard cap on total reserved KV bytes
-     * @param blockTokens cache positions per page
-     * @param shards      tensor-parallel shard VMs, one per device, in
-     *                    rank order. Empty (the default) is the
-     *                    single-device path: one pool on `machine`.
-     *                    Non-empty splits the head axis: shard s gets
+     * @param ranks       the model's rank VMs, one per device, in rank
+     *                    order; rank 0 carries the trace and its data
+     *                    mode decides real vs metadata-only pools. N
+     *                    ranks split the head axis: rank s gets
      *                    [p, h/N, block, d] pool tensors resident on ITS
      *                    device (1/N of the logical bytes each). All
      *                    page-table state — budget, page count,
      *                    bytesPerBlock(), admission math — stays in
      *                    LOGICAL full-model bytes, so scheduling
-     *                    decisions are bit-identical to tp=1; only the
+     *                    decisions are identical at every N; only the
      *                    per-device residency and copy pricing divide.
+     * @param budgetBytes hard cap on total reserved KV bytes
+     * @param blockTokens cache positions per page
      */
     KVCacheManager(const frontend::LlamaConfig& config,
-                   vm::VirtualMachine& machine, int64_t budgetBytes,
-                   int64_t blockTokens = 16,
-                   std::vector<vm::VirtualMachine*> shards = {});
+                   std::vector<vm::VirtualMachine*> ranks,
+                   int64_t budgetBytes, int64_t blockTokens = 16);
 
     ~KVCacheManager();
 
@@ -86,43 +86,35 @@ class KVCacheManager
     /** Total physical pages in the pool. */
     int64_t totalPages() const { return totalBlocks_; }
     /** Unique pages currently referenced by at least one sequence. */
-    int64_t usedPages() const { return usedBlocks_; }
+    int64_t usedPages() const { return totalBlocks_ - freePages(); }
     /** High-water unique-page mark. */
     int64_t peakPages() const { return peakBlocks_; }
-    int64_t freePages() const { return totalBlocks_ - usedBlocks_; }
-    int64_t usedBytes() const { return usedBlocks_ * bytesPerBlock_; }
+    int64_t freePages() const { return (int64_t)freePages_.size(); }
+    int64_t usedBytes() const { return usedPages() * bytesPerBlock_; }
     int64_t peakBytes() const { return peakBlocks_ * bytesPerBlock_; }
     int64_t freeBytes() const { return budgetBytes_ - usedBytes(); }
 
     /** Blocks needed to hold `tokens` cache positions. */
     int64_t blocksFor(int64_t tokens) const;
 
-    /** True when growing (or admitting) `seq` to `tokens` positions fits
-     *  the pool, counting pages it already owns or shares. */
-    bool canHold(RequestId seq, int64_t tokens) const;
-
-    /** Acquires pages so `seq` owns at least `tokens` positions. Throws
-     *  RuntimeError when the pool cannot hold them — callers are
-     *  expected to check canHold() and queue/evict instead. */
-    void reserve(RequestId seq, int64_t tokens);
+    /**
+     * True when growing (or admitting) `seq` to `tokens` positions AND
+     * exclusively owning every page of its write range
+     * [writeStart, tokens) fits the free list: pages `seq` already owns
+     * or shares count toward `tokens`, and each shared page in the range
+     * costs one fresh page to copy into.
+     */
+    bool canHold(RequestId seq, int64_t tokens, int64_t writeStart) const;
 
     /**
-     * canHold() plus the copy-on-write requirement: growing `seq` to
-     * `tokens` positions AND exclusively owning every page in the write
-     * range [writeStart, tokens) must fit the free list (each shared
-     * page in the range costs one fresh page to copy into).
+     * Acquires pages so `seq` holds `tokens` positions, then gives it
+     * every page covering [writeStart, tokens) with refcount 1: a shared
+     * page is copied to a fresh one on the device (priced at the next
+     * flushCowBatch()) and repointed. The compiled call may then scatter
+     * into the pool. Throws RuntimeError when canHold() is false —
+     * callers are expected to check it and queue/evict instead.
      */
-    bool canHoldWrite(RequestId seq, int64_t tokens,
-                      int64_t writeStart) const;
-
-    /**
-     * reserve() plus copy-on-write: after this call `seq` holds
-     * capacity for `tokens` positions and every page covering
-     * [writeStart, tokens) has refcount 1 for `seq` — shared pages are
-     * copied to fresh ones on the device (a priced page-sized copy) and
-     * repointed. The compiled call may then scatter into the pool.
-     */
-    void reserveWrite(RequestId seq, int64_t tokens, int64_t writeStart);
+    void reserve(RequestId seq, int64_t tokens, int64_t writeStart);
 
     /** Drops every page reference held by `seq` (no-op for unknown
      *  ids); pages return to the free list when unreferenced. */
@@ -147,19 +139,13 @@ class KVCacheManager
     int64_t truncate(RequestId seq, int64_t tokens);
 
     /**
-     * Opens a copy-on-write pricing batch: until flushCowBatch(), page
-     * copies made by reserveWrite() keep copying data eagerly but defer
-     * their device cost into one accumulated burst. The engine brackets
-     * each step's ensureWritable sweep with this so b sequences COW-ing
-     * in one step price one cudaMemcpyAsync-burst-shaped launch instead
-     * of b independent ones. Without an open batch copyPage prices each
-     * copy immediately (the historical behavior, kept for direct
-     * callers).
+     * Prices every page copy made since the last flush as one launch
+     * (`kv.cow_copy_burst`) on each rank. reserve() copies page data at
+     * once but defers the device cost, so b sequences copying in one
+     * step pay one cudaMemcpyAsync-burst-shaped launch instead of b; the
+     * engine flushes each model's pool once per step. Returns the number
+     * of pages priced.
      */
-    void beginCowBatch();
-
-    /** Closes the batch, pricing all deferred copies as one launch
-     *  (`kv.cow_copy_burst`). Returns the number of pages flushed. */
     int64_t flushCowBatch();
 
     /**
@@ -248,18 +234,15 @@ class KVCacheManager
     /**
      * The persistent pool tensors in `decode_ragged` argument order
      * (k_pool_0, v_pool_0, k_pool_1, ...), each [p, h, block, d] —
-     * [p, h/N, block, d] under tensor parallelism, where `shard` picks
+     * [p, h/N, block, d] under tensor parallelism, where `rank` picks
      * the device-local set. Copies share storage with the manager's
      * tensors, so in-place kernel writes land in the pool.
      */
     const std::vector<NDArray>&
-    poolTensors(int shard = 0) const
+    poolTensors(int rank = 0) const
     {
-        return pools_.at((size_t)shard);
+        return pools_.at((size_t)rank);
     }
-
-    /** Tensor-parallel shard count backing the pool (1 = single device). */
-    int numShards() const { return (int)shards_.size(); }
 
     // --- sharing statistics -------------------------------------------------
     //
@@ -303,9 +286,8 @@ class KVCacheManager
 
     /** Pops a free page (throws RuntimeError when the pool is empty). */
     int64_t acquirePage();
-    /** Device-side page copy (all layers, k+v): prices one page-sized
-     *  read+write on the simulated clock and copies pool data rows in
-     *  data mode. */
+    /** Device-side page copy (all layers, k+v): copies pool data rows in
+     *  data mode and adds the page to the burst flushCowBatch() prices. */
     void copyPage(int64_t src, int64_t dst);
     /** Chained block hash (test hook aware). */
     uint64_t hashBlock(uint64_t prev, const int64_t* tokens,
@@ -313,26 +295,22 @@ class KVCacheManager
     /** Drops `page`'s index entry, if any (page is leaving the pool). */
     void unregisterPage(int64_t page);
 
-    vm::VirtualMachine& machine_;
-    /** Shard VMs in rank order; {&machine_} on the single-device path. */
-    std::vector<vm::VirtualMachine*> shards_;
+    std::vector<vm::VirtualMachine*> ranks_; //!< in rank order
     int64_t blockTokens_;
     int64_t bytesPerBlock_;
     int64_t budgetBytes_;
     int64_t totalBlocks_;
-    int64_t usedBlocks_ = 0;
     int64_t peakBlocks_ = 0;
     int64_t cowCopies_ = 0;
     int64_t truncates_ = 0;
-    bool cowBatchActive_ = false;   //!< inside begin/flushCowBatch()
-    int64_t cowBatchPages_ = 0;     //!< copies deferred in the open batch
+    int64_t cowBatchPages_ = 0; //!< copies not yet priced by a flush
     int64_t prefixHits_ = 0;
     int64_t prefixTokensMatched_ = 0;
-    /** [shard][layer-k/v] pool tensors, [p, h/N, block, d] each. */
+    /** [rank][layer-k/v] pool tensors, [p, h/N, block, d] each. */
     std::vector<std::vector<NDArray>> pools_;
     std::vector<int64_t> freePages_;  //!< LIFO of unreferenced page ids
     std::vector<int32_t> refCounts_;  //!< per-page reference counts
-    /** The resident pool allocation on each shard's device. */
+    /** The resident pool allocation on each rank's device. */
     std::vector<vm::StoragePtr> poolStorages_;
     std::map<RequestId, Sequence> sequences_;
     /** chained hash → registered blocks under it (collision candidates) */

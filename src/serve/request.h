@@ -71,19 +71,16 @@ struct RequestStats
 struct SequenceState;
 using SequenceStatePtr = std::shared_ptr<SequenceState>;
 
-/** Engine-internal mutable state of one request. */
+/**
+ * Engine-internal mutable state of one request. Cache values and the
+ * committed context length live in the KVCacheManager's page pool,
+ * keyed by request id; the engine holds neither per sequence.
+ */
 struct SequenceState
 {
     Request request;
     RequestPhase phase = RequestPhase::kWaiting;
     std::vector<int64_t> generated;
-    /**
-     * Cache values live in the KVCacheManager's page pool, addressed by
-     * this sequence's block-table row — the engine holds no cache
-     * tensors per sequence.
-     */
-    int64_t ctxLen = 0;   //!< pool positions currently materialized
-    int64_t admitSeq = -1; //!< admission order; highest = eviction victim
     RequestStats stats;
 
     /**

@@ -1,7 +1,7 @@
 /**
  * @file
  * Scheduler implementation: policy-ordered admission against the KV
- * budget and batch-slot caps, and victim selection (see scheduler.h).
+ * budget and batch-slot caps (see scheduler.h).
  */
 #include "serve/scheduler.h"
 
@@ -56,11 +56,11 @@ Scheduler::admit(KVCacheManager& kv, int64_t runningCount)
         // tail is prefilled. No hint from the caller: the cache detects
         // duplicates itself (re-admissions after eviction re-match the
         // same way, against whatever is still indexed). Undone below
-        // when the candidate does not fit after all.
-        if (kv.committedTokens(seq->request.id) == 0) {
+        // when the candidate does not fit after all. A waiting sequence
+        // holds no pages, so the match is its whole committed prefix.
+        int64_t matched =
             kv.matchPrefix(seq->request.id, seq->prefillTokens());
-        }
-        int64_t fresh = tokens - kv.committedTokens(seq->request.id);
+        int64_t fresh = tokens - matched;
         // A prompt above the per-step cap still admits into an idle
         // system — the cap bounds bursts, it must not strand requests.
         bool within_prefill_cap =
@@ -69,14 +69,14 @@ Scheduler::admit(KVCacheManager& kv, int64_t runningCount)
         bool fits = runningCount + (int64_t)admitted.size() <
                         options_.maxBatchSize &&
                     within_prefill_cap &&
-                    kv.canHold(seq->request.id, tokens);
+                    kv.canHold(seq->request.id, tokens, matched);
         // Stop at the first misfit: admitting someone behind a blocked
         // head would starve large requests under memory pressure.
         if (!fits) {
             kv.dropMatch(seq->request.id); // undo this attempt's match
             break;
         }
-        kv.reserve(seq->request.id, tokens);
+        kv.reserve(seq->request.id, tokens, matched);
         prefill_budget -= fresh;
         seq->phase = RequestPhase::kRunning;
         admitted.push_back(seq);
@@ -87,21 +87,11 @@ Scheduler::admit(KVCacheManager& kv, int64_t runningCount)
                 "lifecycle", dev_->clockUs(),
                 {{"request", seq->request.id},
                  {"prefill_tokens", fresh},
-                 {"prefix_matched", tokens - fresh},
+                 {"prefix_matched", matched},
                  {"queue_depth", (int64_t)waiting_.size()}});
         }
     }
     return admitted;
-}
-
-SequenceStatePtr
-Scheduler::pickVictim(const std::vector<SequenceStatePtr>& running)
-{
-    SequenceStatePtr victim;
-    for (const SequenceStatePtr& seq : running) {
-        if (!victim || seq->admitSeq > victim->admitSeq) victim = seq;
-    }
-    return victim;
 }
 
 } // namespace serve

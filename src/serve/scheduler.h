@@ -1,11 +1,11 @@
 /**
  * @file
  * Scheduler: iteration-level (continuous) batching policy. Owns the
- * waiting queue, admits requests into the running batch each engine step
- * when KV blocks and batch slots allow, and names the preemption victim
- * under memory pressure. Two admission policies: FCFS (head-of-line
- * blocking, strict arrival fairness) and shortest-prompt-first (smallest
- * remaining prefill next, better mean TTFT under mixed prompt lengths).
+ * waiting queue and admits requests into the running batch each engine
+ * step when KV blocks and batch slots allow. Two admission policies:
+ * FCFS (head-of-line blocking, strict arrival fairness) and
+ * shortest-prompt-first (smallest remaining prefill next, better mean
+ * TTFT under mixed prompt lengths).
  */
 #ifndef RELAX_SERVE_SCHEDULER_H_
 #define RELAX_SERVE_SCHEDULER_H_
@@ -33,7 +33,7 @@ struct SchedulerOptions
     int64_t maxPrefillTokensPerStep = 2048;
 };
 
-/** Decides who runs: admission queue + preemption victim selection. */
+/** Decides who runs: the admission queue. */
 class Scheduler
 {
   public:
@@ -57,21 +57,15 @@ class Scheduler
 
     /**
      * Moves admissible sequences out of the waiting queue, reserving
-     * their prefill KV blocks in `kv`. Admission stops at the first
-     * candidate that does not fit (memory or batch slots), so FCFS never
-     * reorders; shortest-prompt-first sorts candidates by pending prefill
-     * length before applying the same rule.
+     * their prefill KV blocks in `kv`. The write range starts at the
+     * prefix-matched offset, past every shared page, so admission never
+     * copies. Admission stops at the first candidate that does not fit
+     * (memory or batch slots), so FCFS never reorders;
+     * shortest-prompt-first sorts candidates by pending prefill length
+     * before applying the same rule.
      */
     std::vector<SequenceStatePtr> admit(KVCacheManager& kv,
                                         int64_t runningCount);
-
-    /**
-     * Eviction victim among `running`: the most recently admitted
-     * sequence (lowest priority, least sunk prefill work). Null when
-     * `running` is empty.
-     */
-    static SequenceStatePtr
-    pickVictim(const std::vector<SequenceStatePtr>& running);
 
     const SchedulerOptions& options() const { return options_; }
 

@@ -67,6 +67,10 @@ TEST(DeviceTest, VramLimitEnforced)
     DeviceSpec spec = iphone14Pro();
     SimDevice dev(spec);
     EXPECT_THROW(dev.alloc(spec.vramBytes + 1), RuntimeError);
+    // A refused allocation changes no counter.
+    EXPECT_EQ(dev.allocatedBytes(), 0);
+    EXPECT_EQ(dev.totalAllocatedBytes(), 0);
+    EXPECT_EQ(dev.peakBytes(), 0);
 }
 
 TEST(DeviceTest, GraphReplayAfterCapture)

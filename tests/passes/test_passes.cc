@@ -156,7 +156,6 @@ TEST(LibLowerTest, SkinnyMatmulStaysOnCompilerPath)
                                              out->structInfo()));
     TargetInfo target;
     target.gemmLibrary = "cublas";
-    target.libraryGemmMinRows = 2;
     module = partialLibraryLoweringPass(target).run(module);
     const auto* seq = static_cast<const SeqExprNode*>(
         module->getFunction("main")->body.get());

@@ -2,8 +2,9 @@
  * @file
  * Serving-engine tests: the data-mode oracle (a continuously-batched run
  * emits exactly the tokens of N independent sequential runs), scheduler
- * edge cases (queueing beyond the VRAM budget, eviction + re-admission,
- * zero-active no-op step), sampler behavior, and timing-mode statistics.
+ * edge cases (queueing beyond the VRAM budget, eviction order and
+ * re-admission, zero-active no-op step), sampler behavior, and
+ * timing-mode statistics.
  */
 #include <gtest/gtest.h>
 
@@ -146,11 +147,9 @@ TEST(EngineTest, RaggedDecodeTokenIdenticalWithReplayOnAndOff)
             engine->addRequest(prompt, max_new);
         }
         const EngineStats& stats = engine->run();
-        // One ragged decode call per step covers the whole batch, and
-        // the page-pool path never copies cache bytes on the host.
+        // One ragged decode call per step covers the whole batch.
         EXPECT_EQ(stats.decodeBatches, stats.steps)
             << "graphs=" << with_graphs;
-        EXPECT_EQ(stats.relayoutBytes, 0) << "graphs=" << with_graphs;
         if (with_graphs) {
             EXPECT_GT(engine->machine().graphStats().replays, 0);
         } else {
@@ -182,7 +181,6 @@ TEST(EngineTest, RaggedDecodeIssuesOneCallPerStepAcrossContexts)
     }
     const EngineStats& stats = engine->run();
     EXPECT_EQ(stats.decodeBatches, stats.steps);
-    EXPECT_EQ(stats.relayoutBytes, 0);
     EXPECT_EQ(engine->collect().size(), prompts.size());
 }
 
@@ -225,12 +223,11 @@ TEST(EngineTest, DuplicatePromptPrefixSharesPagesAutomatically)
         {
             std::vector<std::vector<int64_t>> tokens;
             std::vector<std::vector<int64_t>> prompts;
-            int64_t peakPages, prefixHits, matched, relayout;
+            int64_t peakPages, prefixHits, matched;
         } result;
         result.peakPages = engine->kv().peakPages();
         result.prefixHits = engine->kv().prefixHits();
         result.matched = engine->kv().prefixTokensMatched();
-        result.relayout = engine->stats().relayoutBytes;
         for (const auto& done : engine->collect()) {
             result.tokens.push_back(done.outputTokens);
             result.prompts.push_back(done.promptTokens);
@@ -257,8 +254,6 @@ TEST(EngineTest, DuplicatePromptPrefixSharesPagesAutomatically)
     EXPECT_EQ(shared.matched, 8);
     EXPECT_EQ(distinct.prefixHits, 0);
     EXPECT_LT(shared.peakPages, distinct.peakPages);
-    EXPECT_EQ(shared.relayout, 0);
-    EXPECT_EQ(distinct.relayout, 0);
 }
 
 TEST(EngineTest, EqualLengthRequestsShareDecodeBatches)
@@ -376,6 +371,46 @@ TEST(EngineTest, TtftHistogramMeasuresFromOriginalArrivalAcrossEviction)
     EXPECT_EQ(itl.count(),
               stats.tokensGenerated - stats.requestsFinished);
     EXPECT_GT(itl.count(), 0);
+}
+
+TEST(EngineTest, EvictsMostRecentlyAdmittedFirst)
+{
+    // Under KV pressure the engine evicts the running row admitted last.
+    // X and Y admit in one step, shortest prompt first, so Y (id 1)
+    // admits before X (id 0); C admits one step later. In a 4-page pool
+    // Y's growth into its second page evicts C, and X's growth into its
+    // third page then evicts X itself, not Y: admission order decides,
+    // not request ids or context lengths.
+    LlamaConfig config = LlamaConfig::tiny();
+    EngineOptions options;
+    options.kvBlockTokens = 4;
+    options.kvBudgetBytes = 64 * 4 * 4;
+    options.scheduler.policy = SchedulePolicy::kShortestPromptFirst;
+    auto engine = Engine::build(config, hostOptions(), /*data_mode=*/true,
+                                options);
+    TraceRecorder& trace = engine->machine().dev().trace();
+    trace.enable();
+
+    RequestId x = engine->addRequest({3, 1, 4, 1, 5}, 6); // 2 pages
+    RequestId y = engine->addRequest({2, 7, 1}, 6);       // 1 page
+    ASSERT_TRUE(engine->step()); // Y, then X, admit and prefill
+    RequestId c = engine->addRequest({9, 8, 7, 6}, 6);    // 1 page
+    ASSERT_TRUE(engine->step()); // C admits into the last free page
+    engine->run();
+
+    std::vector<RequestId> evicted;
+    for (const TraceRecorder::Event& event : trace.events()) {
+        if (event.name != "evict") continue;
+        for (const TraceArg& arg : event.args) {
+            if (arg.key == "request") evicted.push_back(arg.i);
+        }
+    }
+    EXPECT_EQ(evicted, (std::vector<RequestId>{c, x}));
+    auto results = engine->collect();
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_EQ(results[x].stats.preemptions, 1);
+    EXPECT_EQ(results[y].stats.preemptions, 0);
+    EXPECT_EQ(results[c].stats.preemptions, 1);
 }
 
 TEST(EngineTest, DuplicateOfReleasedPrefixPrefillsInFull)
@@ -675,7 +710,6 @@ TEST(EngineSpecTest, SpeculativeDecodeMatchesSequentialGreedy)
         // The target still issues ONE packed call per step; the draft's
         // calls are tallied separately.
         EXPECT_EQ(stats.decodeBatches, stats.steps) << "k=" << k;
-        EXPECT_EQ(stats.relayoutBytes, 0) << "k=" << k;
         EXPECT_GT(stats.draftCalls, 0) << "k=" << k;
         EXPECT_GT(stats.specProposed, 0) << "k=" << k;
         EXPECT_GT(stats.specAcceptanceRate(), 0.9) << "k=" << k;

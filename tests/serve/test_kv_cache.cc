@@ -39,7 +39,7 @@ void
 prefillAndRegister(KVCacheManager& kv, RequestId seq,
                    const std::vector<int64_t>& prompt)
 {
-    kv.reserve(seq, (int64_t)prompt.size());
+    kv.reserve(seq, (int64_t)prompt.size(), 0);
     kv.commit(seq, (int64_t)prompt.size());
     kv.registerCommitted(seq, prompt);
 }
@@ -49,7 +49,7 @@ TEST(KVCacheTest, BlockGeometry)
     Fixture fx;
     // tiny: 2 layers * 2 heads * 4 dim * 2 (k+v) * 2 bytes = 64 B/token.
     EXPECT_EQ(fx.config.kvBytesPerToken(), 64);
-    KVCacheManager kv(fx.config, fx.machine, /*budget=*/64 * 4 * 10,
+    KVCacheManager kv(fx.config, {&fx.machine}, /*budget=*/64 * 4 * 10,
                       /*blockTokens=*/4);
     EXPECT_EQ(kv.bytesPerBlock(), 64 * 4);
     EXPECT_EQ(kv.totalPages(), 10);
@@ -71,10 +71,10 @@ TEST(KVCacheTest, PoolIsResidentUpFront)
     Fixture fx;
     int64_t base = fx.dev->allocatedBytes();
     {
-        KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+        KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4);
         EXPECT_EQ(fx.dev->allocatedBytes() - base,
                   kv.totalPages() * kv.bytesPerBlock());
-        kv.reserve(1, 8);
+        kv.reserve(1, 8, 0);
         EXPECT_EQ(fx.dev->allocatedBytes() - base,
                   kv.totalPages() * kv.bytesPerBlock());
     }
@@ -84,15 +84,15 @@ TEST(KVCacheTest, PoolIsResidentUpFront)
 TEST(KVCacheTest, ReserveGrowReleaseTracksPoolOccupancy)
 {
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4);
 
-    kv.reserve(/*seq=*/1, /*tokens=*/4); // 1 page
+    kv.reserve(/*seq=*/1, /*tokens=*/4, /*writeStart=*/0); // 1 page
     EXPECT_EQ(kv.usedPages(), 1);
     EXPECT_EQ(kv.usedBytes(), kv.bytesPerBlock());
 
-    kv.reserve(1, 5); // grows to 2 pages
+    kv.reserve(1, 5, 4); // grows to 2 pages
     EXPECT_EQ(kv.usedPages(), 2);
-    kv.reserve(1, 5); // idempotent: already holds 5 positions
+    kv.reserve(1, 5, 4); // idempotent: already holds 5 positions
     EXPECT_EQ(kv.usedPages(), 2);
     EXPECT_EQ(kv.reservedTokens(1), 5);
     EXPECT_EQ(kv.pagesOf(1), 2);
@@ -112,27 +112,27 @@ TEST(KVCacheTest, BudgetRefusesOverCommit)
 {
     Fixture fx;
     // Room for exactly 3 pages.
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 3, 4);
-    EXPECT_TRUE(kv.canHold(1, 12));
-    EXPECT_FALSE(kv.canHold(1, 13));
-    kv.reserve(1, 8); // 2 pages
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 3, 4);
+    EXPECT_TRUE(kv.canHold(1, 12, 0));
+    EXPECT_FALSE(kv.canHold(1, 13, 0));
+    kv.reserve(1, 8, 0); // 2 pages
     EXPECT_EQ(kv.freeBytes(), kv.budgetBytes() - 2 * kv.bytesPerBlock());
-    EXPECT_TRUE(kv.canHold(2, 4));
-    EXPECT_FALSE(kv.canHold(2, 5));
+    EXPECT_TRUE(kv.canHold(2, 4, 0));
+    EXPECT_FALSE(kv.canHold(2, 5, 0));
     // A sequence's own pages count toward what it can still hold.
-    EXPECT_TRUE(kv.canHold(1, 12));
-    EXPECT_THROW(kv.reserve(2, 8), RuntimeError);
+    EXPECT_TRUE(kv.canHold(1, 12, 8));
+    EXPECT_THROW(kv.reserve(2, 8, 0), RuntimeError);
     kv.release(1);
-    kv.reserve(2, 8);
+    kv.reserve(2, 8, 0);
     EXPECT_EQ(kv.usedPages(), 2);
 }
 
 TEST(KVCacheTest, PeakTracksHighWaterMark)
 {
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
-    kv.reserve(1, 8);
-    kv.reserve(2, 8);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4);
+    kv.reserve(1, 8, 0);
+    kv.reserve(2, 8, 0);
     EXPECT_EQ(kv.peakBytes(), 4 * kv.bytesPerBlock());
     kv.release(1);
     kv.release(2);
@@ -143,8 +143,8 @@ TEST(KVCacheTest, PeakTracksHighWaterMark)
 TEST(KVCacheTest, CommitTracksWrittenPositionsBelowReservation)
 {
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
-    kv.reserve(1, 6); // 2 pages reserved
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4);
+    kv.reserve(1, 6, 0); // 2 pages reserved
     EXPECT_EQ(kv.committedTokens(1), 0);
     kv.commit(1, 5);
     EXPECT_EQ(kv.committedTokens(1), 5);
@@ -158,10 +158,10 @@ TEST(KVCacheTest, CommitTracksWrittenPositionsBelowReservation)
 TEST(KVCacheTest, RaggedViewsExposeLengthsAndBlockTable)
 {
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
-    kv.reserve(7, 6); // pages 0, 1
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4);
+    kv.reserve(7, 6, 0); // pages 0, 1
     kv.commit(7, 5);
-    kv.reserve(9, 3); // page 2
+    kv.reserve(9, 3, 0); // page 2
     kv.commit(9, 3);
 
     NDArray lens = kv.lengthsView({9, 7});
@@ -185,7 +185,7 @@ TEST(KVCacheTest, RaggedViewsExposeLengthsAndBlockTable)
 TEST(KVCacheTest, MatchedPrefixSharesPagesByRefcount)
 {
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4);
     std::vector<int64_t> prompt = {3, 1, 4, 1, 5, 9, 2, 6};
     prefillAndRegister(kv, 1, prompt); // pages 0, 1
 
@@ -224,7 +224,7 @@ TEST(KVCacheTest, MatchedPrefixSharesPagesByRefcount)
 TEST(KVCacheTest, CopyOnWriteUnsharesTheWriteRange)
 {
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4);
     std::vector<int64_t> prompt = {2, 7, 1, 8, 2, 8, 1, 8};
     prefillAndRegister(kv, 1, prompt); // pages 0, 1
     // Poison page 1 so the copy is observable: pool row of page 1.
@@ -240,11 +240,14 @@ TEST(KVCacheTest, CopyOnWriteUnsharesTheWriteRange)
 
     // The parent rewrites position 6 inside shared page 1:
     // copy-on-write gives the writer a private copy, priced on the
-    // device clock, and repoints only the writer's table row.
-    EXPECT_TRUE(kv.canHoldWrite(1, 7, 6));
-    kv.reserveWrite(1, 7, 6);
+    // device clock at the next flush, and repoints only the writer's
+    // table row.
+    EXPECT_TRUE(kv.canHold(1, 7, 6));
+    kv.reserve(1, 7, 6);
     EXPECT_EQ(kv.cowCopies(), 1);
     EXPECT_EQ(kv.cowBytes(), kv.bytesPerBlock());
+    EXPECT_EQ(fx.dev->kernelLaunches(), launches_before);
+    EXPECT_EQ(kv.flushCowBatch(), 1);
     EXPECT_EQ(fx.dev->kernelLaunches(), launches_before + 1);
     EXPECT_EQ(kv.usedPages(), 3); // page 0 (shared), page 1, the copy
 
@@ -259,17 +262,17 @@ TEST(KVCacheTest, CopyOnWriteUnsharesTheWriteRange)
     }
 
     // Writing an exclusively-owned range never copies.
-    kv.reserveWrite(1, 8, 7);
+    kv.reserve(1, 8, 7);
     EXPECT_EQ(kv.cowCopies(), 1);
 
     // The first child's write still hits a page shared with the second
     // child: it copies too...
-    kv.reserveWrite(2, 7, 6);
+    kv.reserve(2, 7, 6);
     EXPECT_EQ(kv.cowCopies(), 2);
     EXPECT_EQ(kv.usedPages(), 4);
     // ...after which the second child owns the original page alone and
     // writes without copying (refcounts transferred all the way down).
-    kv.reserveWrite(3, 7, 6);
+    kv.reserve(3, 7, 6);
     EXPECT_EQ(kv.cowCopies(), 2);
 }
 
@@ -277,35 +280,35 @@ TEST(KVCacheTest, CanHoldWriteCountsCowPages)
 {
     Fixture fx;
     // Pool of exactly 3 pages.
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 3, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 3, 4);
     std::vector<int64_t> prompt = {1, 1, 2, 3, 5, 8, 1, 3};
     prefillAndRegister(kv, 1, prompt); // pages 0, 1
     std::vector<int64_t> longer = prompt;
     longer.push_back(2);
     kv.matchPrefix(2, longer); // both pages shared; 1 page free
-    kv.reserve(3, 4);          // takes the last free page
+    kv.reserve(3, 4, 0);       // takes the last free page
     // The parent's write at position 6 needs one COW page, and none is
-    // free — canHoldWrite must say so instead of letting reserveWrite
-    // run the pool dry mid-copy.
-    EXPECT_FALSE(kv.canHoldWrite(1, 7, 6));
-    EXPECT_THROW(kv.reserveWrite(1, 7, 6), RuntimeError);
+    // free — canHold must say so instead of letting reserve run the
+    // pool dry mid-copy.
+    EXPECT_FALSE(kv.canHold(1, 7, 6));
+    EXPECT_THROW(kv.reserve(1, 7, 6), RuntimeError);
     EXPECT_EQ(kv.cowCopies(), 0);
     kv.release(3); // a page frees up: the same write now fits
-    EXPECT_TRUE(kv.canHoldWrite(1, 7, 6));
-    kv.reserveWrite(1, 7, 6);
+    EXPECT_TRUE(kv.canHold(1, 7, 6));
+    kv.reserve(1, 7, 6);
     EXPECT_EQ(kv.cowCopies(), 1);
     EXPECT_EQ(kv.freePages(), 0);
     // The COW repointed the parent, so the child now owns its last page
     // exclusively: its own write needs no pages even with none free.
-    EXPECT_TRUE(kv.canHoldWrite(2, 7, 6));
-    kv.reserveWrite(2, 7, 6);
+    EXPECT_TRUE(kv.canHold(2, 7, 6));
+    kv.reserve(2, 7, 6);
     EXPECT_EQ(kv.cowCopies(), 1);
 }
 
 TEST(KVCacheTest, PrefixIndexLifecycleMatchForkThenCowOnDivergence)
 {
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4);
     std::vector<int64_t> prompt = {3, 1, 4, 1, 5, 9, 2, 6};
 
     // Nothing indexed yet: a probe matches nothing and leaves no trace.
@@ -313,7 +316,7 @@ TEST(KVCacheTest, PrefixIndexLifecycleMatchForkThenCowOnDivergence)
     EXPECT_EQ(kv.committedTokens(9), 0);
 
     // Prefill seq 1 and register: both full blocks land in the index.
-    kv.reserve(1, 8);
+    kv.reserve(1, 8, 0);
     kv.commit(1, 8);
     kv.registerCommitted(1, prompt);
     EXPECT_EQ(kv.indexedBlocks(), 2);
@@ -345,7 +348,7 @@ TEST(KVCacheTest, PrefixIndexLifecycleMatchForkThenCowOnDivergence)
     // into matched page 0 copies it for the writer and leaves the other
     // holders' tables untouched.
     int64_t shared_page = (int64_t)tables.at(0);
-    kv.reserveWrite(2, 4, 2);
+    kv.reserve(2, 4, 2);
     EXPECT_EQ(kv.cowCopies(), 1);
     NDArray after = kv.blockTableView({1, 2}, 2);
     EXPECT_EQ((int64_t)after.at(0), shared_page);
@@ -363,9 +366,9 @@ TEST(KVCacheTest, DropMatchTakesBackPrefixMatchTallies)
     // drops the match when the head does not fit: only the match that
     // admits may count.
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4);
     std::vector<int64_t> prompt = {3, 1, 4, 1, 5, 9, 2, 6, 5};
-    kv.reserve(1, 8);
+    kv.reserve(1, 8, 0);
     kv.commit(1, 8);
     kv.registerCommitted(1, prompt);
     for (int attempt = 0; attempt < 2; ++attempt) {
@@ -385,14 +388,14 @@ TEST(KVCacheTest, DropMatchTakesBackPrefixMatchTallies)
 TEST(KVCacheTest, HashCollisionsFallBackToNoShareViaContentVerify)
 {
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4);
     // Force every block onto one hash chain: the index degenerates into
     // a single collision bucket, so content verification alone decides.
     kv.setBlockHashForTest(
         [](uint64_t, const int64_t*, int64_t) { return (uint64_t)42; });
 
     std::vector<int64_t> prompt_a = {1, 2, 3, 4, 5, 6, 7, 8};
-    kv.reserve(1, 8);
+    kv.reserve(1, 8, 0);
     kv.commit(1, 8);
     kv.registerCommitted(1, prompt_a);
     EXPECT_EQ(kv.indexedBlocks(), 2);
@@ -419,7 +422,7 @@ TEST(KVCacheTest, HashCollisionsFallBackToNoShareViaContentVerify)
     // page, not seq 4's, so accepting it would serve KV values computed
     // under a different prefix. The match must stop after block 0.
     std::vector<int64_t> prompt_c = {7, 7, 7, 7, 9, 9, 9, 9};
-    kv.reserve(4, 8);
+    kv.reserve(4, 8, 0);
     kv.commit(4, 8);
     kv.registerCommitted(4, prompt_c);
     std::vector<int64_t> probe = {7, 7, 7, 7, 5, 6, 7, 8, 0};
@@ -435,9 +438,9 @@ TEST(KVCacheTest, HashCollisionsFallBackToNoShareViaContentVerify)
 TEST(KVCacheTest, EvictionRemovesIndexEntriesAndReRegistrationRevives)
 {
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4);
     std::vector<int64_t> prompt = {2, 7, 1, 8, 2, 8, 1, 8};
-    kv.reserve(1, 8);
+    kv.reserve(1, 8, 0);
     kv.commit(1, 8);
     kv.registerCommitted(1, prompt);
     EXPECT_EQ(kv.indexedBlocks(), 2);
@@ -461,7 +464,7 @@ TEST(KVCacheTest, EvictionRemovesIndexEntriesAndReRegistrationRevives)
 
     // Re-prefill after eviction re-registers under the new pages and
     // serves matches again — the index tracks content, not history.
-    kv.reserve(5, 8);
+    kv.reserve(5, 8, 0);
     kv.commit(5, 8);
     kv.registerCommitted(5, prompt);
     EXPECT_EQ(kv.indexedBlocks(), 2);
@@ -475,9 +478,9 @@ TEST(KVCacheTest, RegisterCommittedCoversGeneratedTokensForReAdmission)
     // registration is keyed on committed content, whatever its origin,
     // so a requeued twin can reuse the survivor's pages.
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4);
     std::vector<int64_t> prompt_plus_generated = {5, 3, 0, 9, 4, 4, 1};
-    kv.reserve(1, 7);
+    kv.reserve(1, 7, 0);
     kv.commit(1, 7); // only block 0 is full (7 < 2*4)
     kv.registerCommitted(1, prompt_plus_generated);
     EXPECT_EQ(kv.indexedBlocks(), 1);
@@ -488,7 +491,7 @@ TEST(KVCacheTest, RegisterCommittedCoversGeneratedTokensForReAdmission)
     // registration chain incrementally.
     std::vector<int64_t> grown = prompt_plus_generated;
     grown.push_back(6);
-    kv.reserve(1, 8);
+    kv.reserve(1, 8, 7);
     kv.commit(1, 8);
     kv.registerCommitted(1, grown);
     EXPECT_EQ(kv.indexedBlocks(), 2);
@@ -504,8 +507,8 @@ TEST(KVCacheTest, TruncateReturnsWholePagesAndRewindsCommitted)
     // un-kept positions and clamping the committed frontier in the last
     // retained page.
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
-    kv.reserve(1, 10); // pages 0, 1, 2
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4);
+    kv.reserve(1, 10, 0); // pages 0, 1, 2
     kv.commit(1, 10);
     EXPECT_EQ(kv.usedPages(), 3);
 
@@ -526,7 +529,7 @@ TEST(KVCacheTest, TruncateReturnsWholePagesAndRewindsCommitted)
 
     // Regrowing reuses the freed page; truncate(0) returns everything
     // while the id stays known; unknown ids are a graceful no-op.
-    kv.reserve(1, 12);
+    kv.reserve(1, 12, 5);
     EXPECT_EQ(kv.usedPages(), 3);
     EXPECT_EQ(kv.truncate(1, 0), 3);
     EXPECT_EQ(kv.usedPages(), 0);
@@ -537,14 +540,14 @@ TEST(KVCacheTest, TruncateReturnsWholePagesAndRewindsCommitted)
 TEST(KVCacheTest, TruncateDropsStaleIndexEntriesBeforeReMatching)
 {
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4);
     // Constant hash: every block lands on one collision chain, so only
     // the entry bookkeeping — never hash luck — decides what a probe
     // can see.
     kv.setBlockHashForTest(
         [](uint64_t, const int64_t*, int64_t) { return (uint64_t)7; });
     std::vector<int64_t> prompt = {1, 2, 3, 4, 5, 6, 7, 8};
-    kv.reserve(1, 8);
+    kv.reserve(1, 8, 0);
     kv.commit(1, 8);
     kv.registerCommitted(1, prompt);
     EXPECT_EQ(kv.indexedBlocks(), 2);
@@ -584,12 +587,11 @@ TEST(KVCacheTest, TruncateDropsStaleIndexEntriesBeforeReMatching)
 TEST(KVCacheTest, CowBatchPricesOneBurstLaunch)
 {
     // One engine step can trigger several copy-on-write page copies (one
-    // per diverging writer). Inside a begin/flush bracket the data still
-    // moves eagerly, but the device is charged ONE burst launch for the
-    // whole sweep — the cudaMemcpyAsync-batch shape — instead of one
-    // launch per page.
+    // per diverging writer). The data moves at once, but the device is
+    // charged ONE burst launch at the next flush — the
+    // cudaMemcpyAsync-batch shape — instead of one launch per page.
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4);
     std::vector<int64_t> prompt = {6, 0, 2, 2, 1, 4, 0, 7};
     prefillAndRegister(kv, 1, prompt); // pages 0, 1
     NDArray pool = kv.poolTensors()[0];
@@ -601,9 +603,8 @@ TEST(KVCacheTest, CowBatchPricesOneBurstLaunch)
     kv.matchPrefix(3, longer);
 
     int64_t launches_before = fx.dev->kernelLaunches();
-    kv.beginCowBatch();
-    kv.reserveWrite(1, 7, 6); // COW of page 1 (three-way shared)
-    kv.reserveWrite(2, 7, 6); // COW of the original (still shared with 3)
+    kv.reserve(1, 7, 6); // COW of page 1 (three-way shared)
+    kv.reserve(2, 7, 6); // COW of the original (still shared with 3)
     EXPECT_EQ(kv.cowCopies(), 2);
     EXPECT_EQ(kv.cowBytes(), 2 * kv.bytesPerBlock());
     // Pricing is deferred until the flush...
@@ -620,7 +621,6 @@ TEST(KVCacheTest, CowBatchPricesOneBurstLaunch)
     }
 
     // An empty batch flushes to nothing — no phantom launch.
-    kv.beginCowBatch();
     EXPECT_EQ(kv.flushCowBatch(), 0);
     EXPECT_EQ(fx.dev->kernelLaunches(), launches_before + 1);
 }
@@ -630,8 +630,8 @@ TEST(KVCacheTest, DestructorReturnsThePool)
     Fixture fx;
     int64_t base = fx.dev->allocatedBytes();
     {
-        KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
-        kv.reserve(1, 8);
+        KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4);
+        kv.reserve(1, 8, 0);
         EXPECT_GT(fx.dev->allocatedBytes(), base);
     }
     EXPECT_EQ(fx.dev->allocatedBytes(), base);

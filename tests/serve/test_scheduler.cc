@@ -1,8 +1,8 @@
 /**
  * @file
  * Scheduler tests: FCFS vs shortest-prompt-first admission order, batch
- * and prefill-budget caps, head-of-line blocking under memory pressure,
- * and eviction victim selection.
+ * and prefill-budget caps, and head-of-line blocking under memory
+ * pressure. The eviction rule lives in the engine (test_engine.cc).
  */
 #include <gtest/gtest.h>
 
@@ -33,7 +33,7 @@ struct Fixture
     kvWithBlocks(int64_t blocks)
     {
         // tiny config: 64 bytes/token, 4-token blocks.
-        return KVCacheManager(config, machine, 64 * 4 * blocks, 4);
+        return KVCacheManager(config, {&machine}, 64 * 4 * blocks, 4);
     }
 
     static SequenceStatePtr
@@ -127,18 +127,6 @@ TEST(SchedulerTest, PrefillBudgetDefersButNeverStrands)
     Scheduler big(options);
     big.enqueue(Fixture::seq(2, 32));
     EXPECT_EQ(big.admit(kv, 0).size(), 1u);
-}
-
-TEST(SchedulerTest, VictimIsMostRecentlyAdmitted)
-{
-    auto a = Fixture::seq(0, 2);
-    auto b = Fixture::seq(1, 2);
-    auto c = Fixture::seq(2, 2);
-    a->admitSeq = 0;
-    b->admitSeq = 5;
-    c->admitSeq = 3;
-    EXPECT_EQ(Scheduler::pickVictim({a, b, c}), b);
-    EXPECT_EQ(Scheduler::pickVictim({}), nullptr);
 }
 
 } // namespace
