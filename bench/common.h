@@ -1,8 +1,9 @@
 /**
  * @file
- * Shared benchmark harness: compiles LLM configurations through the full
- * Relax pipeline and measures decode/prefill latency on the simulated
- * device clock (timing mode: metadata-only tensors, paper-scale dims).
+ * Shared benchmark harness: compiles the dense prefill/decode pair of LLM
+ * configurations through the full Relax pipeline and measures
+ * decode/prefill latency on the simulated device clock (timing mode:
+ * metadata-only tensors, paper-scale dims).
  */
 #ifndef RELAX_BENCH_COMMON_H_
 #define RELAX_BENCH_COMMON_H_
@@ -33,7 +34,8 @@ struct CompiledModel
     std::vector<NDArray> weights;
 };
 
-/** Compiles `config` for `spec` in timing mode. */
+/** Compiles `config`'s dense prefill/decode pair for `spec` in timing
+ *  mode. */
 inline CompiledModel
 compileModel(frontend::LlamaConfig config, const device::DeviceSpec& spec,
              frontend::CompileOptions options = {})
@@ -48,7 +50,7 @@ compileModel(frontend::LlamaConfig config, const device::DeviceSpec& spec,
         options.bounds = {{"b", 64}, {"n", 1024}, {"m", 192}};
     }
     compiled.exec =
-        frontend::compile(frontend::buildLlama(config), options);
+        frontend::compile(frontend::buildDenseLlama(config), options);
     compiled.dev = std::make_shared<device::SimDevice>(spec);
     compiled.machine = std::make_unique<vm::VirtualMachine>(
         compiled.exec, compiled.dev, /*data_mode=*/false);

@@ -33,7 +33,7 @@ main()
         passes::TargetInfo target =
             frontend::targetFromDevice(spec, options);
         auto exec =
-            frontend::compile(frontend::buildLlama(config), options);
+            frontend::compile(frontend::buildDenseLlama(config), options);
         auto dev = std::make_shared<device::SimDevice>(spec);
         vm::VirtualMachine machine(exec, dev, /*data_mode=*/false);
 

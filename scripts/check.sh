@@ -27,15 +27,19 @@ if [[ "${SKIP_BENCH:-0}" == 1 ]]; then
 fi
 
 # Smoke-run the bench harness (timing mode) so driver rot is caught:
-# every paper figure and table driver, the compiler micro-benchmarks
-# when Google Benchmark was found, then the serving drivers; the
-# repository benchmark (perf/) is smoked last. Each fails on a nonzero
-# exit status.
+# every paper figure and table driver, the examples CTest does not run,
+# the compiler micro-benchmarks when Google Benchmark was found, then
+# the serving drivers; the repository benchmark (perf/) is smoked last.
+# Each fails on a nonzero exit status.
 for driver in fig14_nvidia_decode fig15_amd_decode fig16_apple_decode \
               fig17_ablation fig18_s24 fig19_whisper fig20_llava \
               table2_memory table3_platforms; do
   echo "== bench smoke: $driver"
   "./bench_$driver" > /dev/null
+done
+for example in custom_op_fusion multiplatform_deploy llm_serving; do
+  echo "== example smoke: $example"
+  "./example_$example" > /dev/null
 done
 if [[ -x ./bench_micro_compiler ]]; then
   echo "== bench smoke: micro compiler"

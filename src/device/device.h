@@ -209,13 +209,6 @@ class SimDevice
     /** Graph regions entered whose signature hit a captured graph. */
     int64_t graphReplays() const { return graphReplays_; }
 
-    void
-    resetClock()
-    {
-        clockUs_ = 0.0;
-        kernelLaunches_ = 0;
-    }
-
   private:
     /** Memory-lane instant + allocated-bytes counter sample (cold path:
      *  only reached with tracing on). */

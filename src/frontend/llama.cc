@@ -1,20 +1,20 @@
 /**
  * @file
  * Llama-family model builder: the named configs (llama3_8b ... tiny)
- * with weight/KV-cache byte accounting, and buildLlama, which emits the
- * dense prefill/decode graph functions plus the pool-addressed
- * decode_ragged serving function (packed varlen fresh tokens delimited
- * by cu_fresh, persistent KV page pools gathered through the block
- * table, in-place appends) over symbolic batch / sequence / pool
- * variables through the BlockBuilder. makeLlamaWeights
- * fabricates parameter tensors (optionally metadata-only for timing
- * mode).
+ * with weight/KV-cache byte accounting; buildLlama, which emits the
+ * pool-addressed decode_ragged serving function (packed varlen fresh
+ * tokens delimited by cu_fresh, persistent KV page pools gathered
+ * through the block table, in-place appends) over symbolic batch /
+ * sequence / pool variables through the BlockBuilder; and
+ * buildDenseLlama, the dense prefill/decode pair of the figure harness.
+ * makeLlamaWeights fabricates decode_ragged's weight tensors (optionally
+ * metadata-only for timing mode), and shardLlamaWeights slices them to
+ * the shapes of a ShardPass'd decode_ragged.
  */
 #include "frontend/llama.h"
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <random>
 
 #include "op/ops.h"
@@ -170,14 +170,12 @@ namespace {
 /** Which graph function is being constructed. */
 enum class FnKind { kPrefill, kDecode, kDecodeRagged };
 
-/** Builder state shared between prefill and decode construction. */
+/** Builder state shared by the functions of one module. */
 class LlamaBuilder
 {
   public:
-    LlamaBuilder(const LlamaConfig& config, IRModulePtr module,
-                 std::vector<std::string>* weight_names)
-        : config_(config), module_(std::move(module)),
-          weightNames_(weight_names)
+    LlamaBuilder(const LlamaConfig& config, IRModulePtr module)
+        : config_(config), module_(std::move(module))
     {
         // The benchmark dtype: fp16 weights/activations; q4 packs weights.
         dtype_ = DataType::f16();
@@ -325,11 +323,10 @@ class LlamaBuilder
             func->attrs["donatable_params"] = donated;
         }
         module_->addFunction(fn_name, func);
-        if (weightNames_ && kind == FnKind::kDecode) {
-            weightNames_->clear();
-            for (const auto& w : weights_) weightNames_->push_back(w->name);
-        }
     }
+
+    /** The trailing weight parameters of the last function built. */
+    const std::vector<Var>& weights() const { return weights_; }
 
   private:
     /** Declares (or reuses) a named fp16 weight parameter. */
@@ -503,7 +500,6 @@ class LlamaBuilder
 
     LlamaConfig config_;
     IRModulePtr module_;
-    std::vector<std::string>* weightNames_;
     DataType dtype_;
     std::vector<Var> weights_;
     std::vector<Var> params_;
@@ -513,45 +509,54 @@ class LlamaBuilder
     Var blockTable_; //!< [b, w] paged-KV block table (ragged only)
 };
 
+/** A weight parameter's shape; weights have no symbolic dims. */
+std::vector<int64_t>
+literalShape(const Var& param)
+{
+    std::vector<int64_t> shape;
+    for (const auto& dim : *asTensor(param->structInfo())->shape) {
+        shape.push_back(*asIntImm(dim));
+    }
+    return shape;
+}
+
 } // namespace
 
 IRModulePtr
-buildLlama(const LlamaConfig& config, std::vector<std::string>* weight_names)
+buildLlama(const LlamaConfig& config)
 {
     auto module = IRModule::create();
-    LlamaBuilder builder(config, module, weight_names);
+    LlamaBuilder(config, module).buildFunction(FnKind::kDecodeRagged);
+    return module;
+}
+
+IRModulePtr
+buildDenseLlama(const LlamaConfig& config)
+{
+    auto module = IRModule::create();
+    LlamaBuilder builder(config, module);
     builder.buildFunction(FnKind::kPrefill);
     builder.buildFunction(FnKind::kDecode);
-    builder.buildFunction(FnKind::kDecodeRagged);
     return module;
 }
 
 std::vector<NDArray>
 makeLlamaWeights(const LlamaConfig& config, bool with_data, unsigned seed)
 {
-    // Mirror the parameter order produced by the builder: embeddings,
-    // per-layer weights, final norm, lm head — introspected from the
-    // decode function to stay in sync.
-    std::vector<std::string> names;
-    IRModulePtr module = buildLlama(config, &names);
-    Function decode = module->getFunction("decode");
-    size_t skip = 1 + 2 * config.numLayers; // ids + caches
+    LlamaBuilder builder(config, IRModule::create());
+    builder.buildFunction(FnKind::kDecodeRagged);
     std::mt19937 rng(seed);
     std::normal_distribution<double> dist(0.0, 0.05);
     std::vector<NDArray> weights;
-    for (size_t i = skip; i < decode->params.size(); ++i) {
-        const auto* tensor = asTensor(decode->params[i]->structInfo());
-        std::vector<int64_t> shape;
-        for (const auto& dim : *tensor->shape) {
-            shape.push_back(*asIntImm(dim));
-        }
+    for (const Var& param : builder.weights()) {
+        const auto* tensor = asTensor(param->structInfo());
+        std::vector<int64_t> shape = literalShape(param);
         if (!with_data) {
             weights.push_back(NDArray::metaOnly(shape, tensor->dtype));
             continue;
         }
         NDArray array = NDArray::zeros(shape, tensor->dtype);
-        bool is_norm = decode->params[i]->name.find("norm") !=
-                       std::string::npos;
+        bool is_norm = param->name.find("norm") != std::string::npos;
         bool is_packed = tensor->dtype == DataType::u32();
         for (int64_t j = 0; j < array.numel(); ++j) {
             if (is_norm) {
@@ -598,67 +603,44 @@ sliceDim(const NDArray& src, size_t dim, int64_t start, int64_t count)
     return out;
 }
 
-/** Which axis of a named llama weight is sharded (Megatron layout):
- *  0 = output-dim (column-parallel + vocab split), 1 = input-dim
- *  (row-parallel), -1 = replicated. Matches the `tp` tags the builder
- *  places on the corresponding matmuls. */
-int
-shardAxisOf(const std::string& name)
-{
-    auto ends_with = [&](const char* suffix) {
-        size_t n = std::strlen(suffix);
-        return name.size() >= n &&
-               name.compare(name.size() - n, n, suffix) == 0;
-    };
-    if (name.find("norm") != std::string::npos ||
-        name == "tok_embeddings") {
-        return -1;
-    }
-    if (ends_with("wo") || ends_with("w_down")) return 1;
-    // wq / wk / wv / w_gate / w_up / lm_head: output-dim split.
-    return 0;
-}
-
 } // namespace
 
 std::vector<NDArray>
-shardLlamaWeights(const LlamaConfig& config,
-                  const std::vector<NDArray>& full, int shard,
-                  int num_shards)
+shardLlamaWeights(const Function& sharded, const std::vector<NDArray>& full,
+                  int shard, int num_shards)
 {
     RELAX_ICHECK(num_shards >= 1 && shard >= 0 && shard < num_shards)
         << "shardLlamaWeights: bad shard index " << shard << "/"
         << num_shards;
-    // One shard is the whole model: nothing to slice or look up.
+    // One shard is the whole model: nothing to slice.
     if (num_shards == 1) return full;
-    if (config.quant != Quant::kF16) {
-        RELAX_THROW(RuntimeError)
-            << "shardLlamaWeights: quantized weights are not shardable";
-    }
-    std::vector<std::string> names;
-    buildLlama(config, &names);
-    RELAX_ICHECK(names.size() == full.size())
-        << "shardLlamaWeights: expected " << names.size()
-        << " weights, got " << full.size();
+    RELAX_ICHECK(sharded->params.size() >= full.size())
+        << "shardLlamaWeights: " << full.size() << " weights for "
+        << sharded->params.size() << " parameters";
+    size_t first = sharded->params.size() - full.size();
     std::vector<NDArray> out;
     out.reserve(full.size());
     for (size_t i = 0; i < full.size(); ++i) {
-        int axis = shardAxisOf(names[i]);
-        if (axis < 0) {
+        const Var& param = sharded->params[first + i];
+        std::vector<int64_t> local = literalShape(param);
+        const std::vector<int64_t>& dims = full[i].shape();
+        RELAX_ICHECK(local.size() == dims.size())
+            << "shardLlamaWeights: " << param->name << " rank mismatch";
+        size_t axis = 0;
+        while (axis < dims.size() && local[axis] == dims[axis]) ++axis;
+        if (axis == dims.size()) {
             // Replicated: share the handle — weights are read-only.
             out.push_back(full[i]);
             continue;
         }
-        int64_t extent = full[i].shape()[(size_t)axis];
-        if (extent % num_shards != 0) {
+        int64_t chunk = local[axis];
+        if (chunk * num_shards != dims[axis]) {
             RELAX_THROW(RuntimeError)
-                << "shardLlamaWeights: " << names[i] << " dim " << axis
-                << " (" << extent << ") not divisible by " << num_shards
-                << " shards";
+                << "shardLlamaWeights: " << param->name << " dim " << axis
+                << " (" << dims[axis] << ") not divisible into "
+                << num_shards << " shards of " << chunk;
         }
-        int64_t chunk = extent / num_shards;
-        out.push_back(
-            sliceDim(full[i], (size_t)axis, shard * chunk, chunk));
+        out.push_back(sliceDim(full[i], axis, shard * chunk, chunk));
     }
     return out;
 }

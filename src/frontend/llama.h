@@ -1,11 +1,12 @@
 /**
  * @file
  * Transformer LLM frontend: builds Relax IR for Llama-family decoder-only
- * models (the paper's nn.Module-like model construction, §5.1). Emits a
- * `prefill` function (causal attention over n tokens, produces the KV
- * cache) and a `decode` function (single-token step over a symbolic
- * cache length m and batch b) — so dynamism covers both sequence length
- * and batch size, compiled once for all values.
+ * models (the paper's nn.Module-like model construction, §5.1). The
+ * serving build is one function, `decode_ragged`, compiled once over a
+ * symbolic batch, packed token count and KV page pool — so dynamism
+ * covers batch size, sequence length and context length at once. The
+ * paper figures still run the dense `prefill`/`decode` pair, built
+ * separately over the same layer code.
  *
  * The 4-bit quantized variant replaces each weight matmul with the Fig. 9
  * custom decode_q4 tensor program feeding the matmul, exercising
@@ -64,49 +65,53 @@ struct LlamaConfig
 };
 
 /**
- * Builds the model module with `prefill`, `decode` and `decode_ragged`
- * functions.
+ * Builds the serving module: one function, the pool-addressed
+ * `decode_ragged`.
  *
- *   prefill(ids [b, n], weights...) ->
- *       (logits [b, n, V], k_0 [b, h, n, d], v_0, ..., k_L-1, v_L-1)
- *   decode(ids [b, 1], k_0 [b, h, m, d], v_0, ..., weights...) ->
- *       (logits [b, 1, V], k_0' [b, h, m+1, d], v_0', ...)
  *   decode_ragged(ids [1, n], seq_lens [b] i64, cu_fresh [b+1] i64,
  *                 block_table [b, w] i64,
  *                 k_pool_0 [p, h, c, d], v_pool_0, ..., weights...) ->
  *       (logits [1, n, V], k_pool_0', v_pool_0', ...)
  *
- * `prefill`/`decode` are the dense per-call cache layout the figure
- * benches compile. `decode_ragged` is the serving entry point: every
- * cache access gathers/scatters through the persistent KV page pools
- * (p physical pages of c positions per layer per k/v) via the block
- * table. The n fresh tokens of all b rows travel packed (varlen): row r
- * owns packed positions [cu_fresh[r], cu_fresh[r+1]) and writes them
- * into pool pages starting at its seq_lens[r] offset, so one call mixes
- * n_r = 1 decode steps with prompt-chunk prefills. The returned pools
- * alias the inputs (in-place append) — nothing is allocated or copied
- * per call.
- *
- * `weight_names` receives the parameter order after the data inputs, so
- * callers can construct matching argument lists.
+ * Every cache access gathers/scatters through the persistent KV page
+ * pools (p physical pages of c positions per layer per k/v) via the
+ * block table. The n fresh tokens of all b rows travel packed (varlen):
+ * row r owns packed positions [cu_fresh[r], cu_fresh[r+1]) and writes
+ * them into pool pages starting at its seq_lens[r] offset, so one call
+ * mixes n_r = 1 decode steps with prompt-chunk prefills. The returned
+ * pools alias the inputs (in-place append) — nothing is allocated or
+ * copied per call. The weights are the trailing parameters, in
+ * makeLlamaWeights order.
  */
-ir::IRModulePtr buildLlama(const LlamaConfig& config,
-                           std::vector<std::string>* weight_names = nullptr);
+ir::IRModulePtr buildLlama(const LlamaConfig& config);
 
-/** Creates weight tensors for the config (data or metadata-only). */
+/**
+ * Builds the dense per-call cache pair the paper-figure harness
+ * compiles, with the same trailing weight parameters as `decode_ragged`:
+ *
+ *   prefill(ids [b, n], weights...) ->
+ *       (logits [b, n, V], k_0 [b, h, n, d], v_0, ..., k_L-1, v_L-1)
+ *   decode(ids [b, 1], k_0 [b, h, m, d], v_0, ..., weights...) ->
+ *       (logits [b, 1, V], k_0' [b, h, m+1, d], v_0', ...)
+ */
+ir::IRModulePtr buildDenseLlama(const LlamaConfig& config);
+
+/** Creates tensors for `decode_ragged`'s weight parameters, in order
+ *  (data or metadata-only). */
 std::vector<NDArray> makeLlamaWeights(const LlamaConfig& config,
                                       bool with_data, unsigned seed = 7);
 
 /**
- * Slices full weight tensors into the shard-local set the ShardPass'd
- * `decode_ragged` function of `shard` expects (Megatron layout): wq / wk /
- * wv / w_gate / w_up / lm_head are split along the output dim, wo /
- * w_down along the input dim, norms and embeddings replicated (shared by
- * handle — weights are read-only). Metadata-only weights slice shape-only.
- * One shard returns `full` as it is. Otherwise throws when a sharded dim
- * is not divisible by `num_shards` or the config is quantized.
+ * Slices full weight tensors into the set that rank `shard` of
+ * `num_shards` passes to `sharded`, the ShardPass'd `decode_ragged`
+ * (compiled or not): each weight is cut along the one dim whose extent
+ * ShardPass divided, rank `shard` taking the shard-th block. A weight
+ * whose shape ShardPass left unchanged is shared by handle (weights are
+ * read-only). Metadata-only weights slice shape-only. One shard returns
+ * `full` as it is. Otherwise throws RuntimeError when a divided extent
+ * times `num_shards` is not the full extent.
  */
-std::vector<NDArray> shardLlamaWeights(const LlamaConfig& config,
+std::vector<NDArray> shardLlamaWeights(const ir::Function& sharded,
                                        const std::vector<NDArray>& full,
                                        int shard, int num_shards);
 

@@ -86,10 +86,9 @@ Engine::Engine(vm::ExecutablePtr exec,
       group_(std::move(group)), scheduler_(options.scheduler)
 {
     RELAX_ICHECK(group_) << "engine needs a device group";
-    // Memory-plan observability: the compiler's plan for the serving
-    // functions is static, so its footprint is sampled once here (the
-    // Table 2 "activation memory" figure is plan.total_bytes of the
-    // decode path; in-place rewrites are what keep it flat).
+    // Memory-plan observability: the compiler's plan for decode_ragged
+    // is static, so its footprint is sampled once here (in-place
+    // rewrites are what keep it flat).
     {
         passes::MemoryPlanReport plan = passes::memoryPlanReport(
             exec->module);
@@ -106,15 +105,17 @@ Engine::Engine(vm::ExecutablePtr exec,
     // One rank VM per device of the group, all sharing ONE executable
     // (the ShardPass split is uniform, so one compiled program serves
     // every shard — which is also what invokeLockstep requires). Each
-    // rank holds its Megatron slice of the full weights; replicated
-    // tensors share storage by handle, and a lone rank holds them all.
+    // rank holds its slice of the full weights, cut to the shapes of the
+    // compiled decode_ragged; weights ShardPass left whole share storage
+    // by handle, and a lone rank holds them all.
     Model& target = models_.emplace_back(group_.get(), options_.sampler);
     int n = tensorParallel();
+    ir::Function serving = exec->module->getFunction("decode_ragged");
     for (int s = 0; s < n; ++s) {
         target.ranks.push_back(std::make_unique<vm::VirtualMachine>(
             exec, group_->devicePtr(s), data_mode));
         target.weights.push_back(
-            frontend::shardLlamaWeights(config_, weights, s, n));
+            frontend::shardLlamaWeights(serving, weights, s, n));
     }
     int64_t budget = options_.kvBudgetBytes;
     if (budget <= 0) {

@@ -26,11 +26,12 @@
  * no hint from the caller; refcounts + copy-on-write keep writers
  * private.
  *
- * build() compiles the executable with the graph-capture bucket equal to
- * the KV block size, so the decode shape signature moves only when the
- * batch, the packed token count or the table width crosses a bucket
- * boundary: consecutive pure-decode steps replay one captured execution
- * graph (EngineStats::decodeReplayHitRate). Under memory pressure decode
+ * build() compiles `decode_ragged` alone, the one function buildLlama
+ * emits, with the graph-capture bucket equal to the KV block size, so
+ * the decode shape signature moves only when the batch, the packed token
+ * count or the table width crosses a bucket boundary: consecutive
+ * pure-decode steps replay one captured execution graph
+ * (EngineStats::decodeReplayHitRate). Under memory pressure decode
  * growth evicts the most recently admitted sequence (the back of the
  * running list: admission appends, nothing reorders); evicted requests
  * re-prefill prompt+generated on re-admission (re-matching whatever
@@ -210,21 +211,22 @@ class Engine
      * @param data_mode true: real tensors + logits sampling; false:
      *                  metadata-only timing mode
      * @param config    model config (cache geometry, vocab)
-     * @param weights   FULL-model parameter tensors in builder order
-     *                  (data or metadata matching `data_mode`); the
-     *                  engine slices them into per-rank sets itself
+     * @param weights   FULL-model parameter tensors in
+     *                  makeLlamaWeights order (data or metadata matching
+     *                  `data_mode`); the engine slices them to the
+     *                  weight shapes of the compiled `decode_ragged`
      */
     Engine(vm::ExecutablePtr exec, std::shared_ptr<device::DeviceGroup> group,
            bool data_mode, frontend::LlamaConfig config,
            std::vector<NDArray> weights, EngineOptions options = {});
 
     /**
-     * Compiles `config` for `options.device` and builds a ready engine.
-     * When `compile_options.graphBucketTokens` is 0 (auto), the capture
-     * bucket is set to `options.kvBlockTokens` so execution-graph buckets
-     * and KV pages share one boundary. When
+     * Compiles `config`'s `decode_ragged` for `options.device` and builds
+     * a ready engine. When `compile_options.graphBucketTokens` is 0
+     * (auto), the capture bucket is set to `options.kvBlockTokens` so
+     * execution-graph buckets and KV pages share one boundary. When
      * `options.speculation.draftTokens` > 0 the draft model is compiled
-     * with the same options and attached via enableSpeculation().
+     * the same way and attached via enableSpeculation().
      */
     static std::unique_ptr<Engine>
     build(const frontend::LlamaConfig& config,

@@ -1,9 +1,10 @@
 /**
  * @file
- * End-to-end model tests: the tiny Llama variant compiles through the
- * full pipeline and executes correctly on real data; prefill and decode
- * are consistent; quantized models exercise the Fig. 9 fusion; and
- * optimization toggles preserve results.
+ * End-to-end model tests: the tiny Llama variant's dense pair compiles
+ * through the full pipeline and executes correctly on real data; prefill
+ * and decode are consistent; quantized models exercise the Fig. 9
+ * fusion; optimization toggles preserve results; and the serving
+ * function and the dense pair take one weight list.
  */
 #include <gtest/gtest.h>
 
@@ -60,7 +61,7 @@ unpack(const Value& value, int64_t num_layers)
 TEST(LlamaTest, TinyModelPrefillsAndDecodes)
 {
     LlamaConfig config = LlamaConfig::tiny();
-    auto module = buildLlama(config);
+    auto module = buildDenseLlama(config);
     CompileOptions options;
     options.device = hostDevice()->spec();
     auto exec = compile(module, options);
@@ -99,7 +100,7 @@ TEST(LlamaTest, DecodeMatchesPrefillLastPosition)
     LlamaConfig config = LlamaConfig::tiny();
     CompileOptions options;
     options.device = hostDevice()->spec();
-    auto exec = compile(buildLlama(config), options);
+    auto exec = compile(buildDenseLlama(config), options);
     vm::VirtualMachine machine(exec, hostDevice(), true);
     auto weights = makeLlamaWeights(config, true);
 
@@ -131,7 +132,7 @@ TEST(LlamaTest, BatchedDecodeWorks)
     LlamaConfig config = LlamaConfig::tiny();
     CompileOptions options;
     options.device = hostDevice()->spec();
-    auto exec = compile(buildLlama(config), options);
+    auto exec = compile(buildDenseLlama(config), options);
     vm::VirtualMachine machine(exec, hostDevice(), true);
     auto weights = makeLlamaWeights(config, true);
 
@@ -156,7 +157,7 @@ TEST(LlamaTest, QuantizedModelFusesDecodeIntoMatmul)
     // Use dims compatible with q4 packing (multiples of 8).
     config.hiddenSize = 8;
     config.ffnSize = 16;
-    auto module = buildLlama(config);
+    auto module = buildDenseLlama(config);
     CompileOptions options;
     options.device = hostDevice()->spec();
     auto exec = compile(module, options);
@@ -193,7 +194,7 @@ TEST(LlamaTest, OptimizationTogglesPreserveResults)
         options.device = hostDevice()->spec();
         options.enableFusion = fusion;
         options.enableMemoryPlanning = planning;
-        auto exec = compile(buildLlama(config), options);
+        auto exec = compile(buildDenseLlama(config), options);
         vm::VirtualMachine machine(exec, hostDevice(), true);
         return unpack(machine.invoke("prefill",
                                      toValues(ids, {}, weights)),
@@ -206,6 +207,48 @@ TEST(LlamaTest, OptimizationTogglesPreserveResults)
     for (int64_t i = 0; i < base.numel(); ++i) {
         EXPECT_NEAR(base.at(i), no_fusion.at(i), 1e-9);
         EXPECT_NEAR(base.at(i), no_planning.at(i), 1e-9);
+    }
+}
+
+TEST(LlamaTest, ServingFunctionAndDensePairShareOneWeightList)
+{
+    // makeLlamaWeights reads decode_ragged's weights; the figure harness
+    // and the sequential oracles pass that list to the dense pair. So
+    // all three functions must end in the same weight parameters (name,
+    // shape, dtype, order), right after their last data input.
+    for (const LlamaConfig& config :
+         {LlamaConfig::tiny(), LlamaConfig::tiny().withQuant(Quant::kQ4),
+          LlamaConfig::llama3_8b()}) {
+        std::vector<NDArray> weights =
+            makeLlamaWeights(config, /*with_data=*/false);
+        ir::Function ragged =
+            buildLlama(config)->getFunction("decode_ragged");
+        ir::IRModulePtr dense = buildDenseLlama(config);
+        std::string last_layer = std::to_string(config.numLayers - 1);
+        size_t ragged_first = ragged->params.size() - weights.size();
+        for (const auto& [fn, last_input] :
+             std::vector<std::pair<ir::Function, std::string>>{
+                 {ragged, "v_pool" + last_layer},
+                 {dense->getFunction("prefill"), "ids"},
+                 {dense->getFunction("decode"), "v_cache" + last_layer}}) {
+            ASSERT_GT(fn->params.size(), weights.size()) << config.name;
+            size_t first = fn->params.size() - weights.size();
+            EXPECT_EQ(fn->params[first - 1]->name, last_input)
+                << config.name;
+            for (size_t i = 0; i < weights.size(); ++i) {
+                const ir::Var& param = fn->params[first + i];
+                EXPECT_EQ(param->name, ragged->params[ragged_first + i]->name)
+                    << config.name << " weight " << i;
+                const auto* tensor = ir::asTensor(param->structInfo());
+                ASSERT_TRUE(tensor && tensor->shape) << param->name;
+                std::vector<int64_t> shape;
+                for (const auto& dim : *tensor->shape) {
+                    shape.push_back(*asIntImm(dim));
+                }
+                EXPECT_EQ(shape, weights[i].shape()) << param->name;
+                EXPECT_EQ(tensor->dtype, weights[i].dtype()) << param->name;
+            }
+        }
     }
 }
 

@@ -218,7 +218,7 @@ TEST(IntegrationTest, WhisperShapedModuleCompilesEverywhere)
         options.device = device::deviceByName(name);
         options.bounds = {{"b", 2}, {"n", 64}, {"m", 64}};
         auto exec =
-            frontend::compile(frontend::buildLlama(whisper), options);
+            frontend::compile(frontend::buildDenseLlama(whisper), options);
         EXPECT_TRUE(exec->functions.count("prefill")) << name;
         EXPECT_TRUE(exec->functions.count("decode")) << name;
     }

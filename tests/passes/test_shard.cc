@@ -53,7 +53,12 @@ literalDim(const StructInfo& sinfo, size_t dim)
 TEST(ShardPassTest, DividesWeightsPoolsAndInsertsCollectives)
 {
     LlamaConfig config = LlamaConfig::tiny();
-    IRModulePtr module = frontend::buildLlama(config);
+    // The serving function next to the dense pair: only decode_ragged
+    // may be sharded.
+    IRModulePtr module = frontend::buildDenseLlama(config);
+    module->addFunction(
+        "decode_ragged",
+        frontend::buildLlama(config)->getFunction("decode_ragged"));
     module = shardPass(2).run(module);
 
     Function func = module->getFunction("decode_ragged");
@@ -150,17 +155,24 @@ TEST(ShardPassTest, QuantizedModelThrows)
 
 TEST(ShardWeightsTest, SlicesMatchTheMegatronLayout)
 {
+    // Slices follow the dims ShardPass divided in decode_ragged.
     LlamaConfig config = LlamaConfig::tiny();
+    Function sharded =
+        shardPass(2).run(frontend::buildLlama(config))->getFunction(
+            "decode_ragged");
     std::vector<NDArray> full =
         frontend::makeLlamaWeights(config, /*with_data=*/true);
     std::vector<NDArray> s0 =
-        frontend::shardLlamaWeights(config, full, 0, 2);
+        frontend::shardLlamaWeights(sharded, full, 0, 2);
     std::vector<NDArray> s1 =
-        frontend::shardLlamaWeights(config, full, 1, 2);
+        frontend::shardLlamaWeights(sharded, full, 1, 2);
     ASSERT_EQ(s0.size(), full.size());
 
     std::vector<std::string> names;
-    frontend::buildLlama(config, &names);
+    for (size_t i = sharded->params.size() - full.size();
+         i < sharded->params.size(); ++i) {
+        names.push_back(sharded->params[i]->name);
+    }
     int64_t proj = config.numHeads * config.headDim;
     for (size_t i = 0; i < names.size(); ++i) {
         if (names[i] == "l0_wq") {
@@ -183,14 +195,14 @@ TEST(ShardWeightsTest, SlicesMatchTheMegatronLayout)
     std::vector<NDArray> meta =
         frontend::makeLlamaWeights(config, /*with_data=*/false);
     std::vector<NDArray> meta0 =
-        frontend::shardLlamaWeights(config, meta, 0, 2);
+        frontend::shardLlamaWeights(sharded, meta, 0, 2);
     for (size_t i = 0; i < names.size(); ++i) {
         EXPECT_FALSE(meta0[i].hasData());
     }
 
-    // Odd shard counts that do not divide the model throw.
+    // A shard count the compiled split does not divide into throws.
     try {
-        frontend::shardLlamaWeights(config, full, 0, 3);
+        frontend::shardLlamaWeights(sharded, full, 0, 3);
         FAIL() << "expected RuntimeError";
     } catch (const RuntimeError& e) {
         EXPECT_NE(std::string(e.what()).find("not divisible"),

@@ -11,7 +11,9 @@
 #include <algorithm>
 #include <sstream>
 
+#include "passes/alias_analysis.h"
 #include "serve/engine.h"
+#include "sequential_oracle.h"
 
 namespace relax {
 namespace serve {
@@ -29,68 +31,13 @@ hostOptions(int64_t vram = int64_t(8) << 30)
     return options;
 }
 
-/**
- * Reference: the single-request greedy loop the llm_serving example used
- * to hand-roll — prefill, then decode one token at a time through the
- * same compiled executable.
- */
-std::vector<int64_t>
-sequentialGreedy(const LlamaConfig& config,
-                 const std::vector<int64_t>& prompt, int64_t max_new)
-{
-    auto options = hostOptions();
-    auto exec = frontend::compile(frontend::buildLlama(config), options);
-    auto dev = std::make_shared<device::SimDevice>(options.device);
-    vm::VirtualMachine machine(exec, dev, /*data_mode=*/true);
-    auto weights = frontend::makeLlamaWeights(config, /*with_data=*/true);
-
-    auto invoke = [&](const std::string& fn, const NDArray& ids,
-                      const std::vector<NDArray>& caches) {
-        std::vector<vm::Value> args{ids};
-        for (const auto& c : caches) args.emplace_back(c);
-        for (const auto& w : weights) args.emplace_back(w);
-        return std::get<vm::TupleValuePtr>(machine.invoke(fn, args));
-    };
-    auto argmax_last = [](const NDArray& logits) {
-        int64_t vocab = logits.shape().back();
-        int64_t base = logits.numel() - vocab;
-        int64_t best = 0;
-        for (int64_t v = 1; v < vocab; ++v) {
-            if (logits.at(base + v) > logits.at(base + best)) best = v;
-        }
-        return best;
-    };
-
-    std::vector<double> ids(prompt.begin(), prompt.end());
-    auto state = invoke("prefill",
-                        NDArray::fromVector({1, (int64_t)prompt.size()},
-                                            DataType::i64(), ids),
-                        {});
-    std::vector<NDArray> caches;
-    for (size_t i = 1; i < state->fields.size(); ++i) {
-        caches.push_back(std::get<NDArray>(state->fields[i]));
-    }
-    std::vector<int64_t> generated;
-    generated.push_back(argmax_last(std::get<NDArray>(state->fields[0])));
-    while ((int64_t)generated.size() < max_new) {
-        NDArray next = NDArray::fromVector({1, 1}, DataType::i64(),
-                                           {(double)generated.back()});
-        auto out = invoke("decode", next, caches);
-        caches.clear();
-        for (size_t i = 1; i < out->fields.size(); ++i) {
-            caches.push_back(std::get<NDArray>(out->fields[i]));
-        }
-        generated.push_back(argmax_last(std::get<NDArray>(out->fields[0])));
-    }
-    return generated;
-}
-
 TEST(EngineTest, BatchedRunMatchesSequentialRuns)
 {
     // The oracle: three concurrent requests with different prompt
     // lengths produce token-for-token what three independent
     // single-request loops produce.
     LlamaConfig config = LlamaConfig::tiny();
+    SequentialOracle oracle(config, hostOptions());
     std::vector<std::vector<int64_t>> prompts = {
         {3, 1, 4, 1}, {2, 7}, {5, 9, 2}};
     const int64_t max_new = 6;
@@ -104,7 +51,7 @@ TEST(EngineTest, BatchedRunMatchesSequentialRuns)
     ASSERT_EQ(results.size(), prompts.size());
     for (size_t i = 0; i < prompts.size(); ++i) {
         EXPECT_EQ(results[i].outputTokens,
-                  sequentialGreedy(config, prompts[i], max_new))
+                  oracle.generate(prompts[i], max_new))
             << "request " << i;
     }
 }
@@ -128,12 +75,13 @@ TEST(EngineTest, RaggedDecodeTokenIdenticalWithReplayOnAndOff)
     // independent per-sequence sequential loops emit — with bucketed
     // graph replay capturing/replaying and with graph offload disabled.
     LlamaConfig config = LlamaConfig::tiny();
+    SequentialOracle oracle(config, hostOptions());
     std::vector<std::vector<int64_t>> prompts = {
         {3, 1, 4, 1, 5, 9, 2}, {2, 7}, {6, 1, 8, 3, 1}};
     const int64_t max_new = 6;
     std::vector<std::vector<int64_t>> expected;
     for (const auto& prompt : prompts) {
-        expected.push_back(sequentialGreedy(config, prompt, max_new));
+        expected.push_back(oracle.generate(prompt, max_new));
     }
 
     for (bool with_graphs : {true, false}) {
@@ -162,6 +110,35 @@ TEST(EngineTest, RaggedDecodeTokenIdenticalWithReplayOnAndOff)
                 << "request " << i << " graphs=" << with_graphs;
         }
     }
+}
+
+TEST(EngineTest, CompilesAndReportsOnlyTheServingFunction)
+{
+    // Serving builds one function, and the engine's plan gauges describe
+    // exactly that function compiled alone: nothing the engine never
+    // calls is compiled or counted.
+    LlamaConfig config = LlamaConfig::tiny();
+    ir::IRModulePtr module = frontend::buildLlama(config);
+    EXPECT_EQ(module->functions().size(), 1u);
+    ir::Function serving = module->getFunction("decode_ragged");
+    ASSERT_NE(serving, nullptr);
+
+    EngineOptions options;
+    options.kvBlockTokens = 4;
+    frontend::CompileOptions copts = graphHostOptions();
+    copts.graphBucketTokens = options.kvBlockTokens; // build()'s choice
+    auto engine = Engine::build(config, copts, /*data_mode=*/true, options);
+    ir::IRModulePtr alone = ir::IRModule::create();
+    alone->addFunction("decode_ragged", serving);
+    passes::MemoryPlanReport plan = passes::memoryPlanReport(
+        frontend::compile(alone, copts)->module);
+    MetricsRegistry& metrics = engine->metrics();
+    EXPECT_EQ(metrics.gauge("plan.storages").last(),
+              (double)plan.storagesAllocated);
+    EXPECT_EQ(metrics.gauge("plan.total_bytes").last(),
+              (double)plan.bytesAllocated);
+    EXPECT_EQ(metrics.gauge("plan.inplace_rewrites").last(),
+              (double)plan.inplaceWrites);
 }
 
 TEST(EngineTest, RaggedDecodeIssuesOneCallPerStepAcrossContexts)
@@ -195,6 +172,7 @@ TEST(EngineTest, DuplicatePromptPrefixSharesPagesAutomatically)
     // prompts have the same lengths but distinct prefix content (which
     // must NOT match anything).
     LlamaConfig config = LlamaConfig::tiny();
+    SequentialOracle oracle(config, hostOptions());
     std::vector<int64_t> prefix = {3, 1, 4, 1, 5, 9};
     std::vector<int64_t> child_a = prefix, child_b = prefix;
     child_a.insert(child_a.end(), {2, 6});
@@ -242,10 +220,10 @@ TEST(EngineTest, DuplicatePromptPrefixSharesPagesAutomatically)
     // sharing changes memory addressing only, never values.
     for (size_t i = 0; i < 3; ++i) {
         EXPECT_EQ(shared.tokens[i],
-                  sequentialGreedy(config, shared.prompts[i], max_new))
+                  oracle.generate(shared.prompts[i], max_new))
             << "request " << i;
         EXPECT_EQ(distinct.tokens[i],
-                  sequentialGreedy(config, distinct.prompts[i], max_new))
+                  oracle.generate(distinct.prompts[i], max_new))
             << "baseline request " << i;
     }
     // Both children matched the parent's first committed block (the
@@ -294,6 +272,7 @@ TEST(EngineTest, AdmitBeyondBudgetQueuesInsteadOfCrashing)
 TEST(EngineTest, EvictionAndReadmissionPreserveTokens)
 {
     LlamaConfig config = LlamaConfig::tiny();
+    SequentialOracle oracle(config, hostOptions());
     std::vector<std::vector<int64_t>> prompts = {{3, 1, 4, 1},
                                                  {2, 7, 1, 8}};
     const int64_t max_new = 8;
@@ -315,7 +294,7 @@ TEST(EngineTest, EvictionAndReadmissionPreserveTokens)
     int64_t preempted = 0;
     for (size_t i = 0; i < prompts.size(); ++i) {
         EXPECT_EQ(results[i].outputTokens,
-                  sequentialGreedy(config, prompts[i], max_new))
+                  oracle.generate(prompts[i], max_new))
             << "request " << i;
         preempted += results[i].stats.preemptions;
     }
@@ -420,6 +399,7 @@ TEST(EngineTest, DuplicateOfReleasedPrefixPrefillsInFull)
     // a later duplicate simply prefills in full — and still emits the
     // exact token stream.
     LlamaConfig config = LlamaConfig::tiny();
+    SequentialOracle oracle(config, hostOptions());
     std::vector<int64_t> prefix = {3, 1, 4, 1, 5, 9};
     std::vector<int64_t> child = prefix;
     child.push_back(7);
@@ -435,7 +415,7 @@ TEST(EngineTest, DuplicateOfReleasedPrefixPrefillsInFull)
     engine->run();
     auto results = engine->collect();
     ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].outputTokens, sequentialGreedy(config, child, 4));
+    EXPECT_EQ(results[0].outputTokens, oracle.generate(child, 4));
     EXPECT_EQ(engine->kv().prefixHits(), 0);
 }
 
@@ -478,9 +458,10 @@ TEST(EngineTest, RunThrowsWhenARequestCanNeverFit)
 TEST(EngineTest, StopTokenEndsGenerationEarly)
 {
     LlamaConfig config = LlamaConfig::tiny();
+    SequentialOracle oracle(config, hostOptions());
     auto engine = Engine::build(config, hostOptions(), true);
     std::vector<int64_t> reference =
-        sequentialGreedy(config, {3, 1, 4, 1}, 6);
+        oracle.generate({3, 1, 4, 1}, 6);
     // Stop on the second token the model will emit.
     engine->addRequest({3, 1, 4, 1}, 100, /*stop_token=*/reference[1]);
     engine->run();
@@ -674,12 +655,13 @@ TEST(EngineSpecTest, SpeculativeDecodeMatchesSequentialGreedy)
     // every position, so this run exercises the all-accept + bonus path
     // and must convert accepted prefixes into real step savings.
     LlamaConfig config = LlamaConfig::tiny();
+    SequentialOracle oracle(config, hostOptions());
     std::vector<std::vector<int64_t>> prompts = {
         {3, 1, 4, 1}, {2, 7}, {5, 9, 2, 6, 5}};
     const int64_t max_new = 8;
     std::vector<std::vector<int64_t>> expected;
     for (const auto& prompt : prompts) {
-        expected.push_back(sequentialGreedy(config, prompt, max_new));
+        expected.push_back(oracle.generate(prompt, max_new));
     }
 
     int64_t baseline_steps = 0;
@@ -723,6 +705,7 @@ TEST(EngineSpecTest, MismatchedDraftStaysExactAndRollsBack)
     // the time: every rejected token must be rolled back — KV rewound
     // via truncate, outputs still token-identical to plain decoding.
     LlamaConfig config = LlamaConfig::tiny();
+    SequentialOracle oracle(config, hostOptions());
     std::vector<std::vector<int64_t>> prompts = {
         {3, 1, 4, 1}, {2, 7, 1, 8, 2, 8}, {6, 1}};
     const int64_t max_new = 8;
@@ -741,7 +724,7 @@ TEST(EngineSpecTest, MismatchedDraftStaysExactAndRollsBack)
     ASSERT_EQ(results.size(), prompts.size());
     for (size_t i = 0; i < results.size(); ++i) {
         EXPECT_EQ(results[i].outputTokens,
-                  sequentialGreedy(config, prompts[i], max_new))
+                  oracle.generate(prompts[i], max_new))
             << "request " << i;
     }
     EXPECT_EQ(stats.decodeBatches, stats.steps);
@@ -767,6 +750,7 @@ TEST(EngineSpecTest, PrefixSharedSiblingSurvivesSiblingRejections)
     // Rollback must stay private: the sharer's stream and the rejecter's
     // stream both match their sequential oracles exactly.
     LlamaConfig config = LlamaConfig::tiny();
+    SequentialOracle oracle(config, hostOptions());
     std::vector<int64_t> parent = {3, 1, 4, 1, 5, 9, 2, 6, 5};
     std::vector<int64_t> child = parent;
     child.push_back(8);
@@ -790,9 +774,9 @@ TEST(EngineSpecTest, PrefixSharedSiblingSurvivesSiblingRejections)
                   return a.id < b.id;
               });
     EXPECT_EQ(results[0].outputTokens,
-              sequentialGreedy(config, parent, max_new));
+              oracle.generate(parent, max_new));
     EXPECT_EQ(results[1].outputTokens,
-              sequentialGreedy(config, child, max_new));
+              oracle.generate(child, max_new));
     // The child really did share the parent's pages (no fork hint), and
     // speculation really did reject and roll back next to it.
     EXPECT_GE(engine->kv().prefixHits(), 1);

@@ -36,6 +36,7 @@
 #include <random>
 
 #include "serve/engine.h"
+#include "sequential_oracle.h"
 
 namespace relax {
 namespace serve {
@@ -69,81 +70,6 @@ fuzzOptions(bool with_graphs)
     options.bounds = {{"b", 8}, {"n", 96}, {"m", 48}};
     return options;
 }
-
-/**
- * Reference: one request at a time through its own VM — prefill, then
- * greedy decode until max_new, the stop token, or the context window.
- */
-class SequentialOracle
-{
-  public:
-    explicit SequentialOracle(const LlamaConfig& config)
-        : config_(config),
-          exec_(frontend::compile(frontend::buildLlama(config),
-                                  fuzzOptions(false))),
-          weights_(frontend::makeLlamaWeights(config, /*with_data=*/true))
-    {
-    }
-
-    std::vector<int64_t>
-    generate(const std::vector<int64_t>& prompt, int64_t max_new,
-             int64_t stop_token)
-    {
-        // A fresh VM per request keeps runs fully independent.
-        auto dev = std::make_shared<device::SimDevice>(hostSpec(false));
-        vm::VirtualMachine machine(exec_, dev, /*data_mode=*/true);
-        auto invoke = [&](const std::string& fn, const NDArray& ids,
-                          const std::vector<NDArray>& caches) {
-            std::vector<vm::Value> args{ids};
-            for (const auto& c : caches) args.emplace_back(c);
-            for (const auto& w : weights_) args.emplace_back(w);
-            return std::get<vm::TupleValuePtr>(machine.invoke(fn, args));
-        };
-        auto argmax_last = [](const NDArray& logits) {
-            int64_t vocab = logits.shape().back();
-            int64_t base = logits.numel() - vocab;
-            int64_t best = 0;
-            for (int64_t v = 1; v < vocab; ++v) {
-                if (logits.at(base + v) > logits.at(base + best)) best = v;
-            }
-            return best;
-        };
-
-        std::vector<double> ids(prompt.begin(), prompt.end());
-        auto state = invoke("prefill",
-                            NDArray::fromVector({1, (int64_t)prompt.size()},
-                                                DataType::i64(), ids),
-                            {});
-        std::vector<NDArray> caches;
-        for (size_t i = 1; i < state->fields.size(); ++i) {
-            caches.push_back(std::get<NDArray>(state->fields[i]));
-        }
-        int64_t ctx = (int64_t)prompt.size();
-        std::vector<int64_t> generated;
-        generated.push_back(
-            argmax_last(std::get<NDArray>(state->fields[0])));
-        while ((int64_t)generated.size() < max_new &&
-               generated.back() != stop_token &&
-               ctx + 1 < config_.maxContext) {
-            NDArray next = NDArray::fromVector(
-                {1, 1}, DataType::i64(), {(double)generated.back()});
-            auto out = invoke("decode", next, caches);
-            caches.clear();
-            for (size_t i = 1; i < out->fields.size(); ++i) {
-                caches.push_back(std::get<NDArray>(out->fields[i]));
-            }
-            ++ctx;
-            generated.push_back(
-                argmax_last(std::get<NDArray>(out->fields[0])));
-        }
-        return generated;
-    }
-
-  private:
-    LlamaConfig config_;
-    vm::ExecutablePtr exec_;
-    std::vector<NDArray> weights_;
-};
 
 struct FuzzRequest
 {
@@ -255,7 +181,7 @@ runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
     const int64_t alias_checks_before = vm::aliasChecksPerformed();
 
     LlamaConfig config = LlamaConfig::tiny();
-    SequentialOracle oracle(config);
+    SequentialOracle oracle(config, fuzzOptions(false));
 
     // Compile the slice's executables once, indexed by with_replay;
     // scenarios share them. tp=2 shards the same model (ShardPass +

@@ -229,7 +229,7 @@ TEST(GraphReplayTest, SteadyStateDecodeReportsReplayHits)
     options.device = graphCapableHost();
     options.bounds = {{"b", 4}, {"n", 32}, {"m", 64}};
     options.graphBucketTokens = block;
-    auto exec = frontend::compile(frontend::buildLlama(config), options);
+    auto exec = frontend::compile(frontend::buildDenseLlama(config), options);
     auto dev = std::make_shared<device::SimDevice>(options.device);
     VirtualMachine machine(exec, dev, /*data_mode=*/false);
 
@@ -270,7 +270,7 @@ TEST(GraphReplayTest, ExactSignaturesNeverReplayGrowingDecode)
     options.device = graphCapableHost();
     options.bounds = {{"b", 4}, {"n", 32}, {"m", 64}};
     options.graphBucketTokens = 1;
-    auto exec = frontend::compile(frontend::buildLlama(config), options);
+    auto exec = frontend::compile(frontend::buildDenseLlama(config), options);
     auto dev = std::make_shared<device::SimDevice>(options.device);
     VirtualMachine machine(exec, dev, /*data_mode=*/false);
     for (int64_t m = 17; m <= 32; ++m) {

@@ -308,7 +308,8 @@ TEST(VMTest, CollectiveWithoutDeviceGroupThrows)
             {2, config.numHeads / 2, 4, config.headDim}, DataType::f16()));
     }
     for (const NDArray& w : frontend::shardLlamaWeights(
-             config, frontend::makeLlamaWeights(config, true), 0, 2)) {
+             exec->module->getFunction("decode_ragged"),
+             frontend::makeLlamaWeights(config, true), 0, 2)) {
         args.emplace_back(w);
     }
     try {
