@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -70,7 +69,7 @@ struct KernelCost
 
 /**
  * A simulated device instance: virtual clock + memory accounting +
- * execution-graph state.
+ * execution-graph pricing.
  */
 class SimDevice
 {
@@ -104,9 +103,6 @@ class SimDevice
         external_trace_ = &recorder;
         traceLane_ = lane;
     }
-
-    /** The pid this device stamps on its trace events. */
-    int traceLane() const { return traceLane_; }
 
     /**
      * Advances the clock for one kernel launch; returns its latency.
@@ -170,32 +166,23 @@ class SimDevice
         if (trace().enabled()) traceMemory("free", bytes);
     }
 
-    // --- execution graph (CUDA Graph) state --------------------------------
+    // --- execution graph (CUDA Graph) pricing ------------------------------
 
-    /** Returns true when this (graph, shape signature) replays. */
-    bool
-    beginGraph(int64_t graph_id, const std::string& signature)
-    {
-        std::string key = std::to_string(graph_id) + "/" + signature;
-        replaying_ = capturedGraphs_.count(key) > 0;
-        capturing_ = !replaying_;
-        if (capturing_) {
-            capturedGraphs_.insert(key);
-            ++graphCaptures_;
-            // One-time graph instantiation cost per captured graph.
-            clockUs_ += spec_.graphCaptureUs;
-        } else {
-            ++graphReplays_;
-        }
-        return replaying_;
-    }
-
+    /**
+     * Opens an execution-graph region. Which graphs exist is the VM's
+     * to know (it captured them); the device only prices the region: a
+     * capture pays the one-time instantiation cost graphCaptureUs, and
+     * each launch inside a replay costs graphReplayUs instead of
+     * kernelLaunchUs.
+     */
     void
-    endGraph()
+    beginGraph(bool replay)
     {
-        replaying_ = false;
-        capturing_ = false;
+        replaying_ = replay;
+        if (!replay) clockUs_ += spec_.graphCaptureUs;
     }
+
+    void endGraph() { replaying_ = false; }
 
     // --- statistics ----------------------------------------------------------
 
@@ -204,10 +191,6 @@ class SimDevice
     int64_t peakBytes() const { return peakBytes_; }
     int64_t totalAllocatedBytes() const { return totalAllocatedBytes_; }
     int64_t kernelLaunches() const { return kernelLaunches_; }
-    /** Graph regions entered whose signature missed (captured anew). */
-    int64_t graphCaptures() const { return graphCaptures_; }
-    /** Graph regions entered whose signature hit a captured graph. */
-    int64_t graphReplays() const { return graphReplays_; }
 
   private:
     /** Memory-lane instant + allocated-bytes counter sample (cold path:
@@ -228,11 +211,7 @@ class SimDevice
     int64_t peakBytes_ = 0;
     int64_t totalAllocatedBytes_ = 0;
     int64_t kernelLaunches_ = 0;
-    int64_t graphCaptures_ = 0;
-    int64_t graphReplays_ = 0;
-    bool capturing_ = false;
     bool replaying_ = false;
-    std::set<std::string> capturedGraphs_;
     TraceRecorder trace_;
     /** When set (DeviceGroup members), events go here instead. */
     TraceRecorder* external_trace_ = nullptr;

@@ -1,9 +1,9 @@
 /**
  * @file
  * Graph-level substitution utilities: replace Relax variables
- * (substituteVars), collect variable uses, and collect / substitute the
- * symbolic shape variables appearing in annotations — the workhorses of
- * fusion and inlining.
+ * (substituteVars), collect variable uses, and collect the symbolic
+ * shape variables appearing in annotations — the workhorses of fusion
+ * and inlining.
  */
 #include "ir/utils.h"
 
@@ -165,56 +165,6 @@ collectExprSymVars(const Expr& expr,
         return;
       default:
         return;
-    }
-}
-
-Expr
-substituteSymVars(const Expr& expr, const VarMap& vmap)
-{
-    if (!expr || vmap.empty()) return expr;
-    auto withInfo = [&](Expr rewritten) {
-        if (expr->structInfo()) {
-            rewritten->setStructInfo(
-                substituteSInfo(expr->structInfo(), vmap));
-        }
-        return rewritten;
-    };
-    switch (expr->kind()) {
-      case RxKind::kShapeExpr: {
-        const auto* node = static_cast<const ShapeExprNode*>(expr.get());
-        std::vector<PrimExpr> values;
-        for (const auto& v : node->values) {
-            values.push_back(substitute(v, vmap));
-        }
-        return makeShapeExpr(std::move(values));
-      }
-      case RxKind::kPrimValue: {
-        const auto* node = static_cast<const PrimValueNode*>(expr.get());
-        return makePrimValue(substitute(node->value, vmap));
-      }
-      case RxKind::kCall: {
-        const auto* call = static_cast<const CallNode*>(expr.get());
-        std::vector<Expr> args;
-        for (const auto& arg : call->args) {
-            args.push_back(substituteSymVars(arg, vmap));
-        }
-        std::vector<StructInfo> sinfo_args;
-        for (const auto& sinfo : call->sinfoArgs) {
-            sinfo_args.push_back(substituteSInfo(sinfo, vmap));
-        }
-        return withInfo(makeCall(call->op, std::move(args), call->attrs,
-                                 std::move(sinfo_args)));
-      }
-      case RxKind::kTuple: {
-        const auto* node = static_cast<const TupleNode*>(expr.get());
-        std::vector<Expr> fields;
-        for (const auto& field : node->fields) {
-            fields.push_back(substituteSymVars(field, vmap));
-        }
-        return withInfo(makeTuple(std::move(fields)));
-      }
-      default:
-        return expr;
     }
 }
 

@@ -34,12 +34,6 @@ void collectVarUses(const Expr& expr,
 void collectExprSymVars(const Expr& expr,
                         std::unordered_set<const ::relax::VarNode*>* out);
 
-/**
- * Substitutes symbolic shape variables through annotations and shape
- * literals of an expression tree (used when inlining subgraph functions).
- */
-Expr substituteSymVars(const Expr& expr, const VarMap& vmap);
-
 } // namespace ir
 } // namespace relax
 

@@ -3,7 +3,8 @@
  * FuseTensorIR (Fig. 9, yellow stage): a cross-level transformation that
  * merges the tensor programs called inside each fused subgraph function
  * into a single kernel, rewrites the call site to a direct call_tir, and
- * removes the subgraph function. Symbolic shapes are preserved by
+ * removes the subgraph function and every tensor program it merged that
+ * no call_tir still names. Symbolic shapes are preserved by
  * unifying each callee's buffer shapes against the graph-level
  * annotations and threading unbound symbolic variables through explicit
  * scalar parameters.
@@ -11,6 +12,7 @@
 #include "passes/passes.h"
 
 #include <unordered_map>
+#include <unordered_set>
 
 #include "ir/utils.h"
 #include "tir/transform.h"
@@ -32,6 +34,8 @@ struct MergedKernel
     std::vector<const VarNode*> tensorParams;
     /** Symbolic variables passed as trailing scalar args. */
     std::vector<::relax::Var> symVars;
+    /** The tensor programs merged into `func`. */
+    std::vector<std::string> callees;
 };
 
 std::vector<PrimExpr>
@@ -103,6 +107,7 @@ mergeSubgraph(const Function& subgraph, const std::string& name,
             RELAX_ICHECK(callee) << "missing tensor program " << gv->name;
             RELAX_ICHECK(callee->numOutputs == 1)
                 << "fused callees must be single-output";
+            merged.callees.push_back(gv->name);
 
             // Unify callee buffer shapes against graph-level shapes to
             // recover the callee's symbolic vars in caller terms.
@@ -220,7 +225,9 @@ fuseTensorIRPass()
                     module->removeFunction(name);
                     module->addTIRFunc(kernel.func);
                 }
-                // Rewrite every call site.
+                // Rewrite every call site, noting the tensor programs a
+                // call_tir still names.
+                std::unordered_set<std::string> called;
                 for (const auto& [fname, func] : module->functions()) {
                     const auto* seq =
                         static_cast<const SeqExprNode*>(func->body.get());
@@ -230,6 +237,20 @@ fuseTensorIRPass()
                                 binding.value = rewriteCallSite(
                                     binding.value, name, kernel, module);
                             }
+                            if (isOpCall(binding.value, "relax.call_tir")) {
+                                const auto* call = static_cast<const CallNode*>(
+                                    binding.value.get());
+                                called.insert(static_cast<const GlobalVarNode*>(
+                                                  call->args[0].get())
+                                                  ->name);
+                            }
+                        }
+                    }
+                }
+                for (const auto& [name, kernel] : merged) {
+                    for (const std::string& callee : kernel.callees) {
+                        if (!called.count(callee)) {
+                            module->removeFunction(callee);
                         }
                     }
                 }

@@ -235,10 +235,6 @@ Engine::enableSpeculation(vm::ExecutablePtr draft_exec,
     Model& draft = models_.emplace_back(nullptr, options_.sampler);
     draft.ranks.push_back(std::make_unique<vm::VirtualMachine>(
         std::move(draft_exec), group_->devicePtr(0), data_mode));
-    // Namespace the draft's captured graphs: graph ids restart per
-    // executable, so without this a draft region could replay a graph
-    // the target captured on the shared device.
-    draft.ranks[0]->setGraphKeyspace("draft");
     draft.weights.push_back(std::move(draft_weights));
     draft.kv = std::make_unique<KVCacheManager>(
         spec.draftConfig, draft.rankVms(), draftPoolBytes(spec, options_),

@@ -46,8 +46,9 @@
  * at N (DESIGN.md §10).
  *
  * enableSpeculation() attaches the draft (a second LlamaConfig with its
- * own weights, one VM on the target's device 0 and its own KV pool; own
- * graph keyspace so the two models never cross-replay captures).
+ * own weights, one VM on the target's device 0 and its own KV pool; each
+ * VM owns the graphs it captured, so the two models never cross-replay
+ * captures).
  * Decoding rows then run propose/verify/accept per step: the draft
  * proposes k tokens, the target verifies pending+drafts as one packed
  * n=k+1 row inside the SAME step call (the prefill-chunk shape —
@@ -238,9 +239,9 @@ class Engine
      * `options.speculation` must have been configured (draftTokens > 0,
      * draftConfig set) at construction so the KV budget accounted for the
      * draft's footprint. The draft VM runs on the group's device 0 — one
-     * virtual clock, one VRAM pool with the target — with its
-     * captured-graph keys namespaced apart, and its KV pool is sized to
-     * the full addressable envelope so draft reservations never evict.
+     * virtual clock, one VRAM pool with the target — and replays only
+     * graphs it captured itself. Its KV pool is sized to the full
+     * addressable envelope so draft reservations never evict.
      * Engine::build calls this automatically; direct-constructor callers
      * (tests, fuzz harnesses) pass their own compiled draft executable
      * and weights.

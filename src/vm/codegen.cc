@@ -4,7 +4,10 @@
  * instruction sequences. Symbolic variables referenced anywhere in a
  * function are populated by MatchShape instructions over the input
  * tensors; every remaining symbolic expression is carried in the
- * instructions and evaluated against the populated symbol table.
+ * instructions and evaluated against the populated symbol table. Each
+ * value gets one register: a rebinding (`x = y`, `x = const`, a
+ * match_cast) names the register that already holds its value and
+ * emits no copy.
  */
 #include "vm/exec.h"
 
@@ -60,6 +63,14 @@ class FunctionCodegen
         auto [it, inserted] = regs_.emplace(v, nextReg_);
         if (inserted) ++nextReg_;
         return it->second;
+    }
+
+    /** Binds `v` to `reg`, the register already holding its value. */
+    void
+    aliasTo(const VarNode* v, RegIndex reg)
+    {
+        bool inserted = regs_.emplace(v, reg).second;
+        RELAX_ICHECK(inserted) << "codegen: " << v->name << " bound twice";
     }
 
     RegIndex
@@ -232,11 +243,9 @@ class FunctionCodegen
         }
         if (value->kind() == RxKind::kVar ||
             value->kind() == RxKind::kConstant) {
-            Instr instr;
-            instr.op = Instr::Op::kRebind;
-            instr.dst = regOf(binding.var.get());
-            instr.args.push_back(regOfExpr(value));
-            out_.instrs.push_back(std::move(instr));
+            // `x = y` / `x = const`: in SSA form only a second name for
+            // one value, so x takes the register that already holds it.
+            aliasTo(binding.var.get(), regOfExpr(value));
             return;
         }
         if (value->kind() == RxKind::kTuple) {
@@ -270,19 +279,17 @@ class FunctionCodegen
     void
     emitMatchCast(const Binding& binding)
     {
-        // dst aliases src; bare vars in the target annotation bind from the
-        // runtime shape, composite dims become runtime checks (§3.2).
-        Instr rebind;
-        rebind.op = Instr::Op::kRebind;
-        rebind.dst = regOf(binding.var.get());
-        rebind.args.push_back(regOfExpr(binding.value));
-        out_.instrs.push_back(std::move(rebind));
+        // The cast value keeps its register; bare vars in the target
+        // annotation bind from the runtime shape, composite dims become
+        // runtime checks (§3.2).
+        RegIndex reg = regOfExpr(binding.value);
+        aliasTo(binding.var.get(), reg);
 
         const auto* tensor = asTensor(binding.castInfo);
         if (!tensor || !tensor->shape) return;
         Instr match;
         match.op = Instr::Op::kMatchShape;
-        match.args.push_back(regOf(binding.var.get()));
+        match.args.push_back(reg);
         for (size_t d = 0; d < tensor->shape->size(); ++d) {
             const PrimExpr& dim = (*tensor->shape)[d];
             if (dim->kind() == ExprKind::kVar) {
@@ -369,9 +376,6 @@ toString(const VMFunction& func)
             break;
           case Instr::Op::kLoadConst:
             os << "  r" << instr.dst << " = const";
-            break;
-          case Instr::Op::kRebind:
-            os << "  r" << instr.dst << " = r" << instr.args[0];
             break;
           case Instr::Op::kMakeTuple:
             os << "  r" << instr.dst << " = tuple(...)";

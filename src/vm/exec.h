@@ -5,7 +5,10 @@
  * into a generated kernel or a runtime builtin; symbolic shape values
  * live in a per-invocation symbol table (the paper's "integer host
  * tensor") populated by shape-matching instructions on the inputs and
- * read when evaluating symbolic expressions at runtime.
+ * read when evaluating symbolic expressions at runtime. Registers hold
+ * values, not names: every name an SSA rebinding gives a value shares
+ * that value's register, so no instruction copies one register to
+ * another.
  */
 #ifndef RELAX_VM_EXEC_H_
 #define RELAX_VM_EXEC_H_
@@ -36,7 +39,6 @@ struct Instr
         kGraphBegin,   //!< execution-graph capture/replay region start
         kGraphEnd,
         kLoadConst, //!< dst = embedded constant tensor
-        kRebind,    //!< dst = src
         kMakeTuple, //!< dst = (args...)
         kGetItem,   //!< dst = src[index]
         kRet

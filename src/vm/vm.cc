@@ -3,8 +3,10 @@
  * The virtual machine: the library-kernel registry, the executor loop
  * (invokeLockstep — invoke() is its one-VM case), the per-instruction
  * executors (MatchShape / AllocStorage / AllocTensor / KernelCall /
- * PackedCall), and the path that prices generated kernels on the device
- * roofline (Executable::kernelSite + generatedKernelEfficiency).
+ * PackedCall / GraphBegin, which decides capture or replay against the
+ * VM's own captured graphs), and the path that prices generated kernels
+ * on the device roofline (Executable::kernelSite +
+ * generatedKernelEfficiency).
  */
 #include "vm/vm.h"
 
@@ -179,19 +181,17 @@ padForPricing(const NDArray& array, std::vector<int64_t> padded_shape)
     return padded;
 }
 
-/** Efficiency class of a generated kernel on the given device. */
+/** Efficiency class of a generated kernel on the given device, given
+ *  the flops and bytes it costs at `binding`. */
 double
-generatedKernelEfficiency(const KernelSite& site, const VarBinding& binding,
+generatedKernelEfficiency(const KernelSite& site, double flops, double bytes,
+                          const VarBinding& binding,
                           const device::DeviceSpec& spec)
 {
-    bool has_fma = site.kind == tir::PatternKind::kOutputEwiseFusible;
-    if (!has_fma) {
-        // Fused kernels lose their single-op classification; detect a
-        // matmul core by arithmetic intensity instead.
-        double flops = (double)evalInt(site.flops, binding);
-        double bytes = (double)evalInt(site.bytes, binding);
-        has_fma = bytes > 0 && flops / bytes > 16.0;
-    }
+    // Fused kernels lose their single-op classification; detect a matmul
+    // core by arithmetic intensity instead.
+    bool has_fma = site.kind == tir::PatternKind::kOutputEwiseFusible ||
+                   (bytes > 0 && flops / bytes > 16.0);
     if (!has_fma) return spec.genElemwiseEfficiency;
     // Matrix-vector (single output row) uses the tuned gemv schedule.
     const tir::Buffer& out = site.func->params.back();
@@ -229,7 +229,7 @@ struct Executor
     bool dataMode_;
     std::map<std::pair<std::string, size_t>, StoragePtr>& staticStorages_;
     std::map<int64_t, int>& freePool_;
-    std::string graphKeyspace_;
+    std::set<std::pair<int64_t, std::string>>& capturedGraphs_;
 
     // Trace state for the currently-open execution-graph region (regions
     // never nest): its span is emitted at kGraphEnd, inside the call's
@@ -238,6 +238,9 @@ struct Executor
     bool graphReplay_ = false;
     std::string graphSignature_ = {};
     int64_t openGraphId_ = -1;
+    /** Graph regions of this call that captured / replayed. */
+    int64_t graphCaptures_ = 0;
+    int64_t graphReplays_ = 0;
     /** The kRet value, once executed. */
     Value result_ = {};
 
@@ -251,6 +254,8 @@ struct Executor
     void execAllocTensor(const Instr& instr, Frame& frame);
     void execKernelCall(const Instr& instr, Frame& frame);
     void execPackedCall(const Instr& instr, Frame& frame);
+    void beginGraph(const Instr& instr, Frame& frame);
+    void allocPooled(int64_t bytes, Frame& frame);
 };
 
 namespace {
@@ -261,16 +266,13 @@ struct CounterSnapshot
     double clockUs;
     int64_t kernelLaunches;
     int64_t totalAllocatedBytes;
-    int64_t graphCaptures;
-    int64_t graphReplays;
 };
 
 CounterSnapshot
 snapshotCounters(device::SimDevice& device)
 {
     return {device.clockUs(), device.kernelLaunches(),
-            device.totalAllocatedBytes(), device.graphCaptures(),
-            device.graphReplays()};
+            device.totalAllocatedBytes()};
 }
 
 const VMFunction&
@@ -290,22 +292,23 @@ findFunction(const ExecutablePtr& exec, const std::string& name,
 }
 
 /** Frame teardown: returns pool allocations, computes the RunStats
- *  deltas and emits the frame span. */
+ *  and emits the frame span. */
 void
 finishFrame(Frame& frame, const std::string& name,
-            const CounterSnapshot& snap, device::SimDevice& device,
+            const CounterSnapshot& snap, const Executor& executor,
             std::map<int64_t, int>& free_pool, RunStats& last,
             GraphStats& graph)
 {
     // Return this call's pool allocations (runtime allocator model).
     for (int64_t bytes : frame.pooledBytes) free_pool[bytes] += 1;
 
+    device::SimDevice& device = *executor.device_;
     last.latencyUs = device.clockUs() - snap.clockUs;
     last.kernelLaunches = device.kernelLaunches() - snap.kernelLaunches;
     last.bytesAllocated =
         device.totalAllocatedBytes() - snap.totalAllocatedBytes;
-    last.graphCaptures = device.graphCaptures() - snap.graphCaptures;
-    last.graphReplays = device.graphReplays() - snap.graphReplays;
+    last.graphCaptures = executor.graphCaptures_;
+    last.graphReplays = executor.graphReplays_;
     last.graphBegins = last.graphCaptures + last.graphReplays;
     graph.begins += last.graphBegins;
     graph.captures += last.graphCaptures;
@@ -443,7 +446,7 @@ VirtualMachine::invokeLockstep(const std::vector<VirtualMachine*>& shards,
                                      shard.dataMode_,
                                      shard.staticStorages_,
                                      shard.freePool_,
-                                     shard.graphKeyspace_});
+                                     shard.capturedGraphs_});
         findFunction(exec, name, args[s].size()); // arity per shard
         frames[s].regs.resize(func.numRegs);
         for (size_t i = 0; i < args[s].size(); ++i) {
@@ -479,7 +482,7 @@ VirtualMachine::invokeLockstep(const std::vector<VirtualMachine*>& shards,
     results.reserve(n);
     for (size_t s = 0; s < n; ++s) {
         VirtualMachine& shard = *shards[s];
-        finishFrame(frames[s], name, snaps[s], *shard.device_,
+        finishFrame(frames[s], name, snaps[s], executors[s],
                     shard.freePool_, shard.lastStats_, shard.graphStats_);
         results.push_back(executors[s].result_);
     }
@@ -506,42 +509,9 @@ Executor::step(const Instr& instr, Frame& frame, const std::string& fn)
       case Instr::Op::kPackedCall:
         execPackedCall(instr, frame);
         break;
-      case Instr::Op::kGraphBegin: {
-        // Key the captured graph by the bucketed shape signature:
-        // each symbolic value is rounded up to its bucket ceiling,
-        // so every shape in a bucket maps to one graph (captured at
-        // the ceiling shape, launched padded/masked).
-        int64_t block = std::max<int64_t>(instr.bucketBlock, 1);
-        std::vector<std::pair<std::string, int64_t>> dims;
-        dims.reserve(frame.symbols.size());
-        for (const auto& [v, value] : frame.symbols) {
-            int64_t padded =
-                block > 1 ? bucketCeiling(value, block) : value;
-            dims.emplace_back(v->name, padded);
-            if (padded != value) {
-                frame.paddedSymbols[v] = padded;
-            }
-        }
-        // Name-sorted for a deterministic signature (symbolic names
-        // are unique within a function: b, n, m, ...).
-        std::sort(dims.begin(), dims.end());
-        std::ostringstream signature;
-        // The keyspace prefix keeps VMs running different
-        // executables on one device from replaying each other's
-        // graphs (graph ids restart per executable).
-        if (!graphKeyspace_.empty()) {
-            signature << graphKeyspace_ << ":";
-        }
-        for (const auto& [name, value] : dims) {
-            signature << name << "=" << value << ",";
-        }
-        graphStartTs_ = device_->clockUs();
-        graphReplay_ =
-            device_->beginGraph(instr.graphId, signature.str());
-        graphSignature_ = signature.str();
-        openGraphId_ = instr.graphId;
+      case Instr::Op::kGraphBegin:
+        beginGraph(instr, frame);
         break;
-      }
       case Instr::Op::kGraphEnd:
         device_->endGraph();
         frame.paddedSymbols.clear();
@@ -564,9 +534,6 @@ Executor::step(const Instr& instr, Frame& frame, const std::string& fn)
       case Instr::Op::kLoadConst:
         frame.regs[instr.dst] = instr.constant;
         break;
-      case Instr::Op::kRebind:
-        frame.regs[instr.dst] = frame.regs[instr.args[0]];
-        break;
       case Instr::Op::kMakeTuple: {
         auto tuple = std::make_shared<TupleValue>();
         for (RegIndex reg : instr.args) {
@@ -588,13 +555,55 @@ Executor::step(const Instr& instr, Frame& frame, const std::string& fn)
 }
 
 void
+Executor::beginGraph(const Instr& instr, Frame& frame)
+{
+    // Key the captured graph by the bucketed shape signature: each
+    // symbolic value is rounded up to its bucket ceiling, so every shape
+    // in a bucket maps to one graph (captured at the ceiling shape,
+    // launched padded/masked).
+    int64_t block = std::max<int64_t>(instr.bucketBlock, 1);
+    std::vector<std::pair<std::string, int64_t>> dims;
+    dims.reserve(frame.symbols.size());
+    for (const auto& [v, value] : frame.symbols) {
+        int64_t padded = block > 1 ? bucketCeiling(value, block) : value;
+        dims.emplace_back(v->name, padded);
+        if (padded != value) {
+            frame.paddedSymbols[v] = padded;
+        }
+    }
+    // Name-sorted for a deterministic signature (symbolic names are
+    // unique within a function: b, n, m, ...).
+    std::sort(dims.begin(), dims.end());
+    std::ostringstream signature;
+    for (const auto& [name, value] : dims) {
+        signature << name << "=" << value << ",";
+    }
+    graphStartTs_ = device_->clockUs();
+    graphSignature_ = signature.str();
+    openGraphId_ = instr.graphId;
+    // A region replays only a graph this VM captured: graph ids count
+    // per executable, so a set shared across VMs would let one VM replay
+    // another's graph.
+    graphReplay_ =
+        !capturedGraphs_.emplace(instr.graphId, graphSignature_).second;
+    ++(graphReplay_ ? graphReplays_ : graphCaptures_);
+    device_->beginGraph(graphReplay_);
+}
+
+void
 Executor::execMatchShape(const Instr& instr, Frame& frame,
                                const std::string& fn)
 {
     const NDArray& tensor =
         asTensorValue(frame.regs[instr.args[0]], "match_shape");
+    // Every annotated dim is either bound or checked.
+    size_t rank = instr.binds.size() + instr.checks.size();
+    if (tensor.shape().size() != rank) {
+        RELAX_THROW(ShapeError)
+            << fn << ": runtime shape check failed: expected rank " << rank
+            << ", got " << tensor.shape().size();
+    }
     for (const auto& [dim, v] : instr.binds) {
-        RELAX_ICHECK(dim < (int)tensor.shape().size());
         frame.symbols[v.get()] = tensor.shape()[dim];
     }
     for (const auto& [dim, expr] : instr.checks) {
@@ -612,7 +621,6 @@ void
 Executor::execAllocStorage(const Instr& instr, Frame& frame,
                                  const std::string& fn)
 {
-    int64_t bytes;
     const int64_t* const_size = asIntImm(instr.sizeExpr);
     if (const_size) {
         // Statically planned: allocate once, keep across invocations —
@@ -629,8 +637,19 @@ Executor::execAllocStorage(const Instr& instr, Frame& frame,
         frame.regs[instr.dst] = it->second;
         return;
     }
-    bytes = evalInt(instr.sizeExpr, frame.symbols);
-    // Dynamic storage: served by the runtime pool (exact-size reuse).
+    // Dynamic storage: served by the runtime pool.
+    auto storage = std::make_shared<Storage>();
+    storage->bytes = evalInt(instr.sizeExpr, frame.symbols);
+    allocPooled(storage->bytes, frame);
+    frame.regs[instr.dst] = storage;
+}
+
+void
+Executor::allocPooled(int64_t bytes, Frame& frame)
+{
+    // The runtime allocator model: an exact-size free chunk is reused,
+    // anything else is new device memory; the frame returns the chunk
+    // to the pool when the call exits.
     auto pool_it = freePool_.find(bytes);
     if (pool_it != freePool_.end() && pool_it->second > 0) {
         pool_it->second -= 1;
@@ -638,9 +657,6 @@ Executor::execAllocStorage(const Instr& instr, Frame& frame,
         device_->alloc(bytes);
     }
     frame.pooledBytes.push_back(bytes);
-    auto storage = std::make_shared<Storage>();
-    storage->bytes = bytes;
-    frame.regs[instr.dst] = storage;
 }
 
 void
@@ -651,25 +667,12 @@ Executor::execAllocTensor(const Instr& instr, Frame& frame)
     for (const auto& dim : instr.shape) {
         shape.push_back(evalInt(dim, frame.symbols));
     }
-    if (instr.args.empty()) {
-        // No storage operand: direct runtime allocation (unplanned path).
-        NDArray tensor = dataMode_ ? NDArray::zeros(shape, instr.dtype)
-                                   : NDArray::metaOnly(shape, instr.dtype);
-        int64_t bytes = tensor.sizeBytes();
-        auto pool_it = freePool_.find(bytes);
-        if (pool_it != freePool_.end() && pool_it->second > 0) {
-            pool_it->second -= 1;
-        } else {
-            device_->alloc(bytes);
-        }
-        frame.pooledBytes.push_back(bytes);
-        frame.regs[instr.dst] = tensor;
-        return;
-    }
-    // Instantiate inside an existing storage: no new device memory.
-    frame.regs[instr.dst] = dataMode_
-                                ? NDArray::zeros(shape, instr.dtype)
-                                : NDArray::metaOnly(shape, instr.dtype);
+    NDArray tensor = dataMode_ ? NDArray::zeros(shape, instr.dtype)
+                               : NDArray::metaOnly(shape, instr.dtype);
+    // A storage operand holds the tensor with no new device memory;
+    // without one (the unplanned path) the runtime pool serves it.
+    if (instr.args.empty()) allocPooled(tensor.sizeBytes(), frame);
+    frame.regs[instr.dst] = tensor;
 }
 
 void
@@ -696,18 +699,21 @@ Executor::execKernelCall(const Instr& instr, Frame& frame)
             RELAX_THROW(RuntimeError)
                 << "library function not linked: " << instr.callee;
         }
+        RELAX_ICHECK(instr.argShapes.size() == args.size())
+            << instr.callee << ": codegen records one shape per argument";
         // Inside a bucketed graph region, library kernels are priced at
         // the padded binding like generated ones: each argument's shape
         // expressions are re-evaluated with the padded symbol values and
         // the cost model sees the padded stand-ins. Compute (below) still
         // runs on the live tensors — padding affects the clock only.
-        if (!frame.paddedSymbols.empty() &&
-            instr.argShapes.size() == args.size()) {
+        const std::vector<NDArray>* priced = &args;
+        std::vector<NDArray> padded;
+        if (!frame.paddedSymbols.empty()) {
             VarBinding padded_syms = frame.symbols;
             for (const auto& [v, value] : frame.paddedSymbols) {
                 padded_syms[v] = value;
             }
-            std::vector<NDArray> priced = args;
+            padded = args;
             for (size_t i = 0; i < args.size(); ++i) {
                 if (instr.argShapes[i].empty()) continue;
                 std::vector<int64_t> padded_shape;
@@ -716,18 +722,15 @@ Executor::execKernelCall(const Instr& instr, Frame& frame)
                     padded_shape.push_back(evalInt(dim, padded_syms));
                 }
                 if (padded_shape != args[i].shape()) {
-                    priced[i] = padForPricing(args[i],
+                    padded[i] = padForPricing(args[i],
                                               std::move(padded_shape));
                 }
             }
-            device_->launchKernel(
-                kernel->cost(priced, instr.attrs, device_->spec()),
-                instr.callee.c_str());
-        } else {
-            device_->launchKernel(
-                kernel->cost(args, instr.attrs, device_->spec()),
-                instr.callee.c_str());
+            priced = &padded;
         }
+        device_->launchKernel(
+            kernel->cost(*priced, instr.attrs, device_->spec()),
+            instr.callee.c_str());
         if (dataMode_) {
             RELAX_ICHECK(kernel->compute)
                 << instr.callee << " has no data-mode implementation";
@@ -766,8 +769,9 @@ Executor::execKernelCall(const Instr& instr, Frame& frame)
     device::KernelCost kernel_cost;
     kernel_cost.flops = (double)evalInt(site.flops, *priced);
     kernel_cost.bytes = (double)evalInt(site.bytes, *priced);
-    kernel_cost.efficiency =
-        generatedKernelEfficiency(site, *priced, device_->spec());
+    kernel_cost.efficiency = generatedKernelEfficiency(
+        site, kernel_cost.flops, kernel_cost.bytes, *priced,
+        device_->spec());
     device_->launchKernel(kernel_cost, instr.callee.c_str());
     if (dataMode_) {
         tir::run(site.func, args, sym_args);

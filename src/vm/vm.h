@@ -15,6 +15,7 @@
 
 #include <functional>
 #include <memory>
+#include <set>
 #include <variant>
 
 #include "device/device.h"
@@ -57,7 +58,7 @@ struct RunStats
     int64_t bytesAllocated = 0; //!< new device allocations this call
     int64_t graphBegins = 0;    //!< graph regions entered this call
     int64_t graphCaptures = 0;  //!< regions that missed and captured
-    int64_t graphReplays = 0;   //!< regions that hit a captured graph
+    int64_t graphReplays = 0;   //!< regions that replayed this VM's graph
 };
 
 /** Cumulative execution-graph counters across every invoke(). */
@@ -174,28 +175,19 @@ class VirtualMachine
     device::SimDevice& dev() { return *device_; }
     bool dataMode() const { return dataMode_; }
 
-    /**
-     * Namespaces this VM's captured-graph keys on the device. Two VMs
-     * running different executables on one shared device (a serving
-     * engine's target and draft models) would otherwise collide: graph
-     * ids are per-executable counters and bucketed shape signatures look
-     * alike across models, so a draft region could "replay" a graph the
-     * target captured. Defaults to the empty keyspace, which preserves
-     * the single-VM key format.
-     */
-    void setGraphKeyspace(std::string keyspace)
-    {
-        graphKeyspace_ = std::move(keyspace);
-    }
-    const std::string& graphKeyspace() const { return graphKeyspace_; }
-
   private:
     ExecutablePtr exec_;
     std::shared_ptr<device::SimDevice> device_;
     bool dataMode_;
-    std::string graphKeyspace_;
     RunStats lastStats_;
     GraphStats graphStats_;
+    /**
+     * The execution graphs this VM captured, keyed by (graph id,
+     * bucketed shape signature). A region replays only a graph this VM
+     * captured itself, so VMs sharing one device (a serving engine's
+     * target and draft) never replay each other's graphs.
+     */
+    std::set<std::pair<int64_t, std::string>> capturedGraphs_;
     /** Statically planned storages, pre-allocated once and kept. */
     std::map<std::pair<std::string, size_t>, StoragePtr> staticStorages_;
     /** Runtime memory pool (unplanned path): exact-size free lists. */

@@ -191,6 +191,10 @@ TEST(FusionPipelineTest, Figure9DecodeMatmulFusion)
     EXPECT_EQ(module->getFunction(fused_name), nullptr);
     tir::PrimFunc merged = module->getTIRFunc(fused_name);
     ASSERT_NE(merged, nullptr);
+    // No call_tir names the two merged programs any more: both are gone.
+    EXPECT_EQ(module->getTIRFunc("decode_q4"), nullptr);
+    EXPECT_EQ(module->getTIRFunc(mm_name), nullptr);
+    EXPECT_EQ(module->tirFuncs().size(), 1u);
     // The merged kernel holds the intermediate decode output as a local
     // allocation (Fig. 9's alloc_buffer W).
     EXPECT_FALSE(tir::collectAllocations(merged->body).empty());

@@ -195,8 +195,8 @@ runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
     vm::ExecutablePtr exec[2] = {compile(false, tp), compile(true, tp)};
     auto weights = frontend::makeLlamaWeights(config, /*with_data=*/true);
     // Draft for the speculation axis: the same tiny architecture, never
-    // sharded (the tp=1 build — graph keyspaces keep the two VMs'
-    // captures apart). The identical-seed draft agrees with the target
+    // sharded (the tp=1 build — each VM replays only the graphs it
+    // captured itself). The identical-seed draft agrees with the target
     // everywhere (all-accept) while the alternate seed mostly disagrees
     // (reject + rollback). Identity must hold either way.
     vm::ExecutablePtr draft_exec[2] = {exec[0], exec[1]};

@@ -3,8 +3,9 @@
  * Bucketed execution-graph capture/replay tests: equivalence (the same
  * program produces bit-identical data-mode outputs with bucketed capture
  * on and off), counter-based hit-rate assertions for steady-state decode
- * (no wall-clock dependence), and padded-pricing determinism (every shape
- * in a bucket is priced at the bucket ceiling on the virtual clock).
+ * (no wall-clock dependence), padded-pricing determinism (every shape
+ * in a bucket is priced at the bucket ceiling on the virtual clock), and
+ * per-VM ownership of captured graphs on a shared device.
  */
 #include <gtest/gtest.h>
 
@@ -258,6 +259,34 @@ TEST(GraphReplayTest, SteadyStateDecodeReportsReplayHits)
     // boundary crossing in 18..48 is m=33.
     EXPECT_EQ(boundary_crossings, 1);
     EXPECT_GE(machine.graphStats().hitRate(), 0.8);
+}
+
+TEST(GraphReplayTest, EachVMReplaysOnlyGraphsItCaptured)
+{
+    // Two VMs run one executable on one shared device. A VM owns the
+    // graphs it captured, so the second VM's first call captures its own
+    // (paying the instantiation again) instead of replaying the first
+    // VM's; then each replays its own.
+    auto dev = std::make_shared<device::SimDevice>(graphCapableHost());
+    ExecutablePtr exec = frontend::compile(buildChain(), chainOptions(16));
+    VirtualMachine first(exec, dev, /*data_mode=*/false);
+    VirtualMachine second(exec, dev, /*data_mode=*/false);
+    std::vector<Value> args{NDArray::metaOnly({9, 4}, DataType::f32())};
+    first.invoke("main", args);
+    ASSERT_GT(first.lastRunStats().graphCaptures, 0);
+    second.invoke("main", args);
+    EXPECT_EQ(second.lastRunStats().graphCaptures,
+              first.lastRunStats().graphCaptures);
+    EXPECT_EQ(second.lastRunStats().graphReplays, 0);
+    EXPECT_DOUBLE_EQ(second.lastRunStats().latencyUs,
+                     first.lastRunStats().latencyUs);
+    for (VirtualMachine* machine : {&first, &second}) {
+        machine->invoke("main", args);
+        EXPECT_EQ(machine->lastRunStats().graphCaptures, 0);
+        EXPECT_GT(machine->lastRunStats().graphReplays, 0);
+        EXPECT_EQ(machine->graphStats().captures,
+                  machine->graphStats().replays);
+    }
 }
 
 TEST(GraphReplayTest, ExactSignaturesNeverReplayGrowingDecode)

@@ -1,10 +1,10 @@
 /**
  * @file
- * VM tests: codegen of lowered modules, execution in data and timing
- * modes, runtime shape checks, static storage caching, graph
- * capture/replay, library dispatch equivalence, the refusal of a
- * collective outside a device group, and the kernel cost cache's
- * lifetime.
+ * VM tests: codegen of lowered modules (rebindings share their value's
+ * register), execution in data and timing modes, runtime shape and rank
+ * checks, static storage caching, graph capture/replay, library dispatch
+ * equivalence, the refusal of a collective outside a device group, and
+ * the kernel cost cache's lifetime.
  */
 #include <gtest/gtest.h>
 
@@ -93,6 +93,113 @@ TEST(VMTest, RuntimeShapeCheckRejectsBadInput)
     EXPECT_THROW(machine.invoke("main", {bad}), ShapeError);
 }
 
+/** x:(n,8) @ w:(8,4), lowered to the GEMM library where one exists. */
+ir::IRModulePtr
+buildMatmul()
+{
+    auto module = IRModule::create();
+    shape::BlockBuilder builder(module);
+    SymVar n = var("n");
+    Var x = makeVar("x", tensorSInfo({n, intImm(8)}, DataType::f32()));
+    Var w = makeVar("w", tensorSInfo({intImm(8), intImm(4)}, DataType::f32()));
+    builder.beginDataflowBlock();
+    Var out = builder.emitOutput(op::matmul(x, w));
+    builder.endBlock();
+    module->addFunction("main", makeFunction({x, w}, builder.finish(out),
+                                             out->structInfo()));
+    return module;
+}
+
+TEST(VMTest, RuntimeShapeCheckRejectsWrongRank)
+{
+    // Every dim of an annotated parameter is bound or checked, so a
+    // tensor of any other rank fails its MatchShape. A lower rank must
+    // fail before a dim past its shape is read.
+    frontend::CompileOptions options;
+    options.device = hostDevice()->spec();
+    VirtualMachine chain(frontend::compile(buildChain(), options),
+                         hostDevice(), /*data_mode=*/true);
+    try {
+        chain.invoke("main", {NDArray::zeros({3}, DataType::f32())});
+        FAIL() << "expected ShapeError";
+    } catch (const ShapeError& e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("main"), std::string::npos) << what;
+        EXPECT_NE(what.find("expected rank 2, got 1"), std::string::npos)
+            << what;
+    }
+    // A higher rank whose leading dims match must not reach a library
+    // kernel, which would price it as given in timing mode.
+    frontend::CompileOptions lib_options;
+    lib_options.device = device::rtx4090(); // cublas path
+    VirtualMachine matmul(
+        frontend::compile(buildMatmul(), lib_options),
+        std::make_shared<device::SimDevice>(device::rtx4090()),
+        /*data_mode=*/false);
+    EXPECT_THROW(matmul.invoke("main",
+                               {NDArray::metaOnly({3, 8, 5}, DataType::f32()),
+                                NDArray::metaOnly({8, 4}, DataType::f32())}),
+                 ShapeError);
+}
+
+TEST(VMTest, RebindingsShareTheProducersRegister)
+{
+    // lv1 = lv0 and a match_cast rename one value: codegen gives the new
+    // names lv0's register, so relu reads exactly what exp wrote.
+    auto module = IRModule::create();
+    shape::BlockBuilder builder(module);
+    SymVar n = var("n");
+    SymVar m = var("m");
+    Var x = makeVar("x", tensorSInfo({n, intImm(4)}, DataType::f32()));
+    builder.beginDataflowBlock();
+    Var lv0 = builder.emit(op::exp(x));
+    Var lv1 = builder.emit(lv0);
+    Var lv2 = builder.emitMatchCast(
+        lv1, tensorSInfo({m, intImm(4)}, DataType::f32()));
+    Var out = builder.emitOutput(op::relu(lv2));
+    builder.endBlock();
+    module->addFunction("main", makeFunction({x}, builder.finish(out),
+                                             out->structInfo()));
+
+    frontend::CompileOptions options;
+    options.device = hostDevice()->spec();
+    options.enableFusion = false; // exp and relu stay two kernel calls
+    ExecutablePtr exec = frontend::compile(module, options);
+    // The lowered function still holds both rebindings.
+    bool rebind = false, cast = false;
+    const auto* seq = static_cast<const SeqExprNode*>(
+        exec->module->getFunction("main")->body.get());
+    for (const auto& block : seq->blocks) {
+        for (const auto& binding : block->bindings) {
+            rebind |= binding.var->name == lv1->name &&
+                      binding.value->kind() == RxKind::kVar;
+            cast |= binding.var->name == lv2->name && binding.isMatchCast;
+        }
+    }
+    EXPECT_TRUE(rebind);
+    EXPECT_TRUE(cast);
+
+    const Instr* exp_call = nullptr;
+    const Instr* relu_call = nullptr;
+    for (const Instr& instr : exec->functions.at("main").instrs) {
+        if (instr.op != Instr::Op::kKernelCall) continue;
+        if (instr.callee.rfind("exp", 0) == 0) exp_call = &instr;
+        if (instr.callee.rfind("relu", 0) == 0) relu_call = &instr;
+    }
+    ASSERT_NE(exp_call, nullptr);
+    ASSERT_NE(relu_call, nullptr);
+    EXPECT_EQ(relu_call->args[0], exp_call->args.back());
+
+    VirtualMachine machine(exec, hostDevice(), /*data_mode=*/true);
+    NDArray input = NDArray::fromVector({2, 4}, DataType::f32(),
+                                        {0, 1, -1, 2, 0.5, 0, 0, -2});
+    NDArray result = std::get<NDArray>(machine.invoke("main", {input}));
+    ASSERT_EQ(result.shape(), input.shape());
+    for (int64_t i = 0; i < input.numel(); ++i) {
+        EXPECT_NEAR(result.at(i), std::exp(input.at(i)), 1e-6) << i;
+    }
+}
+
 TEST(VMTest, TimingModeTracksClockWithoutData)
 {
     frontend::CompileOptions options;
@@ -168,21 +275,6 @@ TEST(VMTest, GraphReplayReducesLaunchOverhead)
 TEST(VMTest, LibraryDispatchMatchesGeneratedKernels)
 {
     // matmul through cublas-sim == matmul through generated kernel.
-    auto build = [] {
-        auto module = IRModule::create();
-        shape::BlockBuilder builder(module);
-        SymVar n = var("n");
-        Var x = makeVar("x", tensorSInfo({n, intImm(8)}, DataType::f32()));
-        Var w = makeVar("w", tensorSInfo({intImm(8), intImm(4)},
-                                         DataType::f32()));
-        builder.beginDataflowBlock();
-        Var out = builder.emitOutput(op::matmul(x, w));
-        builder.endBlock();
-        module->addFunction("main",
-                            makeFunction({x, w}, builder.finish(out),
-                                         out->structInfo()));
-        return module;
-    };
     NDArray x = NDArray::zeros({3, 8}, DataType::f32());
     NDArray w = NDArray::zeros({8, 4}, DataType::f32());
     for (int64_t i = 0; i < x.numel(); ++i) x.set(i, 0.1 * (double)(i % 7));
@@ -190,15 +282,15 @@ TEST(VMTest, LibraryDispatchMatchesGeneratedKernels)
 
     frontend::CompileOptions gen_options;
     gen_options.device = hostDevice()->spec(); // no libraries
-    VirtualMachine gen_machine(frontend::compile(build(), gen_options),
+    VirtualMachine gen_machine(frontend::compile(buildMatmul(), gen_options),
                                hostDevice(), true);
     NDArray gen_out = std::get<NDArray>(gen_machine.invoke("main", {x, w}));
 
     frontend::CompileOptions lib_options;
     lib_options.device = device::rtx4090(); // cublas path
     auto dev = std::make_shared<device::SimDevice>(device::rtx4090());
-    VirtualMachine lib_machine(frontend::compile(build(), lib_options), dev,
-                               true);
+    VirtualMachine lib_machine(frontend::compile(buildMatmul(), lib_options),
+                               dev, true);
     NDArray lib_out = std::get<NDArray>(lib_machine.invoke("main", {x, w}));
     EXPECT_EQ(gen_out.data(), lib_out.data());
 }
