@@ -3,7 +3,8 @@
  * google-benchmark micro measurements of compiler infrastructure: forward
  * shape deduction, canonical simplification / equality proof, and the
  * full pipeline on a transformer module — the "deduction runs for every
- * pass" efficiency concern of §4.1.
+ * pass" efficiency concern of §4.1 — plus the host clock of serving: one
+ * timing-mode decode step through the VM, and one serving engine build.
  */
 #include <benchmark/benchmark.h>
 
@@ -11,7 +12,9 @@
 #include "frontend/compile.h"
 #include "frontend/llama.h"
 #include "op/ops.h"
+#include "serve/engine.h"
 #include "shape/block_builder.h"
+#include "vm/vm.h"
 
 namespace {
 
@@ -88,6 +91,67 @@ BM_CompileLlama8BModule(benchmark::State& state)
 }
 BENCHMARK(BM_CompileLlama8BModule)->Unit(benchmark::kMillisecond)
     ->Iterations(3);
+
+void
+BM_DecodeRaggedStep(benchmark::State& state)
+{
+    // Eight decode rows in a bucket already captured: the host cost of
+    // one steady-state serving step (Llama3-8B on rtx4090, bounds b=8,
+    // n=288, 16-token buckets).
+    frontend::LlamaConfig config = frontend::LlamaConfig::llama3_8b();
+    frontend::CompileOptions options;
+    options.device = device::rtx4090();
+    options.bounds = {{"b", 8}, {"n", 288}};
+    options.graphBucketTokens = 16;
+    auto dev = std::make_shared<device::SimDevice>(device::rtx4090());
+    vm::VirtualMachine machine(
+        frontend::compile(frontend::buildLlama(config), options), dev,
+        /*data_mode=*/false);
+    const int64_t rows = 8, width = 8, pages = 64, block = 16;
+    std::vector<double> lens{37, 60, 75, 90, 101, 110, 118, 125};
+    std::vector<double> cu(rows + 1);
+    std::vector<double> table(rows * width);
+    for (int64_t r = 0; r <= rows; ++r) cu[r] = (double)r;
+    for (int64_t i = 0; i < rows * width; ++i) table[i] = (double)i;
+    std::vector<vm::Value> args{
+        NDArray::metaOnly({1, rows}, DataType::i64()),
+        NDArray::fromVector({rows}, DataType::i64(), lens),
+        NDArray::fromVector({rows + 1}, DataType::i64(), cu),
+        NDArray::fromVector({rows, width}, DataType::i64(), table)};
+    for (int64_t i = 0; i < 2 * config.numLayers; ++i) {
+        args.emplace_back(NDArray::metaOnly(
+            {pages, config.numHeads, block, config.headDim},
+            DataType::f16()));
+    }
+    for (NDArray& w : frontend::makeLlamaWeights(config, false)) {
+        args.emplace_back(std::move(w));
+    }
+    machine.invoke("decode_ragged", args); // capture the bucket
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(machine.invoke("decode_ragged", args));
+    }
+}
+BENCHMARK(BM_DecodeRaggedStep)->Unit(benchmark::kMicrosecond);
+
+void
+BM_EngineBuild(benchmark::State& state)
+{
+    // The serving deployment perf/'s `chat` workload builds.
+    frontend::CompileOptions options;
+    options.device = device::rtx4090();
+    options.bounds = {{"b", 8}, {"n", 288}};
+    serve::EngineOptions engine;
+    engine.scheduler.maxBatchSize = 8;
+    engine.scheduler.maxPrefillTokensPerStep = 256;
+    engine.kvBlockTokens = 16;
+    engine.interconnect = "nvlink";
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            serve::Engine::build(frontend::LlamaConfig::llama3_8b(), options,
+                                 /*data_mode=*/false, engine));
+    }
+}
+BENCHMARK(BM_EngineBuild)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -98,6 +98,8 @@ struct TraceResult
     /** Fraction of graph regions inside pure-decode step spans that are
      *  replay-flagged (-1 when not instrumented / no such region). */
     double replayFlaggedFraction = -1.0;
+    /** vm-lane `decode_ragged` frame spans: target and draft calls. */
+    int64_t decodeFrames = 0;
 };
 
 /** Integer arg lookup on a recorded trace event. */
@@ -328,6 +330,11 @@ runTrace(const frontend::LlamaConfig& config,
         result.traceWellNested =
             dev.trace().wellNested(&result.nestError);
         result.replayFlaggedFraction = replayFlaggedFraction(dev.trace());
+        for (const TraceRecorder::Event& e : dev.trace().events()) {
+            result.decodeFrames += e.ph == 'X' && e.pid == trace_lanes::kVm &&
+                                   e.cat == "frame" &&
+                                   e.name == "decode_ragged";
+        }
         if (!trace_path.empty()) {
             std::ofstream os(trace_path);
             dev.trace().writeChromeTrace(os);
@@ -746,17 +753,25 @@ main(int argc, char** argv)
     }
 
     if (!trace_out.empty() || !metrics_out.empty()) {
-        // Instrumented repeat of the FCFS run: same trace, recorder on.
+        // Instrumented repeat of the configuration this run exercised,
+        // same trace, recorder on: plain FCFS, or under --spec-k the
+        // speculative run at the sweep's highest acceptance rate. (The
+        // --tp sweep replays a different, saturated trace.)
+        const double traced_rate =
+            spec_k > 0 ? spec_results.back().first : 0.0;
+        const TraceResult& untraced =
+            spec_k > 0 ? spec_results.back().second : fcfs_result;
         TraceResult traced =
             runTrace(config, spec, serve::SchedulePolicy::kFCFS, trace,
-                     /*instrument=*/true, trace_out, metrics_out);
+                     /*instrument=*/true, trace_out, metrics_out, spec_k,
+                     traced_rate);
         // Zero-cost-when-disabled has a stronger sibling: enabling the
         // recorder may not change the simulated outcome at all.
-        if (traced.stats.steps != fcfs_result.stats.steps ||
+        if (traced.stats.steps != untraced.stats.steps ||
             traced.stats.tokensGenerated !=
-                fcfs_result.stats.tokensGenerated ||
-            traced.stats.evictions != fcfs_result.stats.evictions ||
-            traced.stats.busyUs != fcfs_result.stats.busyUs) {
+                untraced.stats.tokensGenerated ||
+            traced.stats.evictions != untraced.stats.evictions ||
+            traced.stats.busyUs != untraced.stats.busyUs) {
             std::cerr << "FAIL: enabling tracing changed the simulated "
                          "run (steps/tokens/evictions/busyUs differ)\n";
             return 1;
@@ -766,14 +781,26 @@ main(int argc, char** argv)
                       << traced.nestError << "\n";
             return 1;
         }
-        std::cout << "traced decode-step graph regions replay-flagged: "
-                  << TablePrinter::fmt(
-                         traced.replayFlaggedFraction * 100.0, 1)
-                  << "%\n";
-        if (traced.replayFlaggedFraction < 0.95) {
-            std::cerr << "FAIL: < 95% of graph regions inside pure-decode "
-                         "step spans are replay-flagged\n";
-            return 1;
+        if (spec_k > 0) {
+            // One target call per step, plus the draft's proposals.
+            std::cout << "traced decode_ragged calls: "
+                      << traced.decodeFrames << " over "
+                      << traced.stats.steps << " steps\n";
+            if (traced.decodeFrames <= traced.stats.steps) {
+                std::cerr << "FAIL: the speculative trace holds no draft "
+                             "call\n";
+                return 1;
+            }
+        } else {
+            std::cout << "traced decode-step graph regions replay-flagged: "
+                      << TablePrinter::fmt(
+                             traced.replayFlaggedFraction * 100.0, 1)
+                      << "%\n";
+            if (traced.replayFlaggedFraction < 0.95) {
+                std::cerr << "FAIL: < 95% of graph regions inside "
+                             "pure-decode step spans are replay-flagged\n";
+                return 1;
+            }
         }
         if (!trace_out.empty()) {
             std::cout << "chrome trace written to " << trace_out << "\n";

@@ -101,12 +101,16 @@ int64_t
 evalInt(const PrimExpr& expr, const VarBinding& binding)
 {
     auto result = tryEvalInt(expr, binding);
-    if (!result) {
-        RELAX_THROW(ShapeError)
-            << "cannot evaluate symbolic expression " << toString(expr)
-            << " (unbound variable or non-integer node)";
-    }
+    if (!result) throwUnevaluable(expr);
     return *result;
+}
+
+void
+throwUnevaluable(const PrimExpr& expr)
+{
+    RELAX_THROW(ShapeError)
+        << "cannot evaluate symbolic expression " << toString(expr)
+        << " (unbound variable or non-integer node)";
 }
 
 } // namespace relax

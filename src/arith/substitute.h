@@ -36,6 +36,9 @@ std::optional<int64_t> tryEvalInt(const PrimExpr& expr,
 /** Like tryEvalInt but throws ShapeError on failure. */
 int64_t evalInt(const PrimExpr& expr, const VarBinding& binding);
 
+/** Throws evalInt's ShapeError for an expression that failed to evaluate. */
+[[noreturn]] void throwUnevaluable(const PrimExpr& expr);
+
 } // namespace relax
 
 #endif // RELAX_ARITH_SUBSTITUTE_H_

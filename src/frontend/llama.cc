@@ -325,9 +325,6 @@ class LlamaBuilder
         module_->addFunction(fn_name, func);
     }
 
-    /** The trailing weight parameters of the last function built. */
-    const std::vector<Var>& weights() const { return weights_; }
-
   private:
     /** Declares (or reuses) a named fp16 weight parameter. */
     Var
@@ -543,12 +540,25 @@ buildDenseLlama(const LlamaConfig& config)
 std::vector<NDArray>
 makeLlamaWeights(const LlamaConfig& config, bool with_data, unsigned seed)
 {
-    LlamaBuilder builder(config, IRModule::create());
-    builder.buildFunction(FnKind::kDecodeRagged);
+    return makeLlamaWeights(buildLlama(config), config, with_data, seed);
+}
+
+std::vector<NDArray>
+makeLlamaWeights(const IRModulePtr& module, const LlamaConfig& config,
+                 bool with_data, unsigned seed)
+{
+    Function func = module->getFunction("decode_ragged");
+    RELAX_ICHECK(func) << "makeLlamaWeights: no decode_ragged";
+    // ids, seq_lens, cu_fresh and block_table, then a k and a v pool per
+    // layer; the weights trail.
+    size_t first = 4 + 2 * (size_t)config.numLayers;
+    RELAX_ICHECK(func->params.size() >= first)
+        << "makeLlamaWeights: decode_ragged has too few parameters";
     std::mt19937 rng(seed);
     std::normal_distribution<double> dist(0.0, 0.05);
     std::vector<NDArray> weights;
-    for (const Var& param : builder.weights()) {
+    for (size_t i = first; i < func->params.size(); ++i) {
+        const Var& param = func->params[i];
         const auto* tensor = asTensor(param->structInfo());
         std::vector<int64_t> shape = literalShape(param);
         if (!with_data) {

@@ -102,6 +102,15 @@ std::vector<NDArray> makeLlamaWeights(const LlamaConfig& config,
                                       bool with_data, unsigned seed = 7);
 
 /**
+ * makeLlamaWeights for the `decode_ragged` that `module`, built by
+ * buildLlama(config), already holds. Read the module before compiling
+ * it: ShardPass rewrites the weights' shapes.
+ */
+std::vector<NDArray> makeLlamaWeights(const ir::IRModulePtr& module,
+                                      const LlamaConfig& config,
+                                      bool with_data, unsigned seed = 7);
+
+/**
  * Slices full weight tensors into the set that rank `shard` of
  * `num_shards` passes to `sharded`, the ShardPass'd `decode_ragged`
  * (compiled or not): each weight is cut along the one dim whose extent

@@ -75,6 +75,15 @@ class IRModule
     {
         relaxFuncs_.erase(name);
         tirFuncs_.erase(name);
+        // The freed name was `name` itself or `hint_<k>` for the hint
+        // before its last '_': neither hint may resume past it.
+        nameSuffixes_.erase(name);
+        size_t cut = name.rfind('_');
+        if (cut != std::string::npos && cut + 1 < name.size() &&
+            name.find_first_not_of("0123456789", cut + 1) ==
+                std::string::npos) {
+            nameSuffixes_.erase(name.substr(0, cut));
+        }
     }
 
     const std::map<std::string, Function>& functions() const
@@ -86,12 +95,18 @@ class IRModule
         return tirFuncs_;
     }
 
-    /** Returns a name not yet used in the module, derived from `hint`. */
+    /**
+     * Returns a name not yet used in the module, derived from `hint`: the
+     * first free one of `hint`, `hint_1`, `hint_2`, ... The probe resumes
+     * at the suffix last issued for `hint`, since every name below it is
+     * still taken until removeFunction frees one.
+     */
     std::string
     uniqueName(const std::string& hint)
     {
-        std::string name = hint;
-        int suffix = 0;
+        int& suffix = nameSuffixes_[hint];
+        std::string name =
+            suffix == 0 ? hint : hint + "_" + std::to_string(suffix);
         while (relaxFuncs_.count(name) || tirFuncs_.count(name)) {
             name = hint + "_" + std::to_string(++suffix);
         }
@@ -107,6 +122,7 @@ class IRModule
         clone->relaxFuncs_ = relaxFuncs_;
         clone->tirFuncs_ = tirFuncs_;
         clone->globalVars_ = globalVars_;
+        clone->nameSuffixes_ = nameSuffixes_;
         return clone;
     }
 
@@ -116,6 +132,8 @@ class IRModule
     std::map<std::string, Function> relaxFuncs_;
     std::map<std::string, tir::PrimFunc> tirFuncs_;
     std::map<std::string, GlobalVar> globalVars_;
+    /** Per uniqueName hint, the suffix it last issued. */
+    std::map<std::string, int> nameSuffixes_;
 };
 
 /**

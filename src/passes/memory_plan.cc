@@ -19,6 +19,7 @@
  */
 #include "passes/passes.h"
 
+#include <queue>
 #include <unordered_map>
 
 #include "arith/analyzer.h"
@@ -95,18 +96,20 @@ class Planner
             return last == AliasLivenessAnalysis::kNeverUsed ? 0 : last;
         };
 
-        // Walk bindings, assigning storage to each allocation.
+        // Walk bindings, assigning storage to each allocation. Pending
+        // (last use, storage) pairs wait in a min-heap, so each binding
+        // pops only the tensors that died before it.
         auto block = std::make_shared<BindingBlockNode>(false);
         std::unordered_map<const VarNode*, size_t> var_storage;
-        std::vector<std::pair<size_t, size_t>> expiry; // (last_use, storage)
+        using Expiry = std::pair<size_t, size_t>; // (last_use, storage)
+        std::priority_queue<Expiry, std::vector<Expiry>, std::greater<>>
+            expiry;
         bool all_static = true;
         for (size_t i = 0; i < bindings.size(); ++i) {
             // Recycle storages whose tensors died before this binding.
-            for (auto& [death, sid] : expiry) {
-                if (death <= i && death != SIZE_MAX) {
-                    storages_[sid].free = true;
-                    death = SIZE_MAX;
-                }
+            while (!expiry.empty() && expiry.top().first <= i) {
+                storages_[expiry.top().second].free = true;
+                expiry.pop();
             }
             const Binding& binding = bindings[i];
             if (!isOpCall(binding.value, "relax.builtin.alloc_tensor")) {
@@ -129,7 +132,7 @@ class Planner
             size_t sid = requestStorage(size, upper, &block->bindings);
             storages_[sid].free = false;
             var_storage[binding.var.get()] = sid;
-            expiry.emplace_back(lastUseOf(binding.var.get()), sid);
+            expiry.emplace(lastUseOf(binding.var.get()), sid);
 
             // Instantiate the tensor from the storage.
             Call inst = makeCall(getOp("relax.memory.alloc_tensor"),

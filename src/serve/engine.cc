@@ -189,8 +189,10 @@ Engine::build(const frontend::LlamaConfig& config,
     auto group = std::make_shared<device::DeviceGroup>(
         copts.device, (int)options.tensorParallel,
         device::interconnectByName(options.interconnect));
-    auto exec = frontend::compile(frontend::buildLlama(config), copts);
-    auto weights = frontend::makeLlamaWeights(config, data_mode);
+    // One module per model: its weights are read before compiling it.
+    ir::IRModulePtr module = frontend::buildLlama(config);
+    auto weights = frontend::makeLlamaWeights(module, config, data_mode);
+    auto exec = frontend::compile(module, copts);
     auto engine = std::make_unique<Engine>(std::move(exec), std::move(group),
                                            data_mode, config,
                                            std::move(weights), options);
@@ -204,12 +206,11 @@ Engine::build(const frontend::LlamaConfig& config,
             options.speculation.draftConfig;
         frontend::CompileOptions draft_copts = copts;
         draft_copts.tensorParallel = 1;
-        auto dexec =
-            frontend::compile(frontend::buildLlama(dconfig), draft_copts);
-        engine->enableSpeculation(
-            std::move(dexec),
-            frontend::makeLlamaWeights(dconfig, data_mode,
-                                       options.speculation.draftWeightSeed));
+        ir::IRModulePtr draft = frontend::buildLlama(dconfig);
+        auto dweights = frontend::makeLlamaWeights(
+            draft, dconfig, data_mode, options.speculation.draftWeightSeed);
+        engine->enableSpeculation(frontend::compile(draft, draft_copts),
+                                  std::move(dweights));
     }
     return engine;
 }

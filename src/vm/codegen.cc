@@ -3,22 +3,166 @@
  * VM code generation (§4.7): translates lowered graph functions into
  * instruction sequences. Symbolic variables referenced anywhere in a
  * function are populated by MatchShape instructions over the input
- * tensors; every remaining symbolic expression is carried in the
- * instructions and evaluated against the populated symbol table. Each
- * value gets one register: a rebinding (`x = y`, `x = const`, a
- * match_cast) names the register that already holds its value and
- * emits no copy.
+ * tensors, each into a slot of the function's shape table, numbered in
+ * order of first binding. Every remaining symbolic expression is lowered
+ * to a SlotProgram over that table; a variable no MatchShape has bound
+ * by then lowers to a failure, since code is straight-line. Each value
+ * gets one register: a rebinding (`x = y`, `x = const`, a match_cast)
+ * names the register that already holds its value and emits no copy.
  */
 #include "vm/exec.h"
 
+#include <algorithm>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "ir/utils.h"
 
 namespace relax {
 namespace vm {
+
+SlotProgram::SlotProgram(PrimExpr expr, const SlotMap& slots)
+    : expr_(std::move(expr))
+{
+    Steps lowered;
+    lower(expr_, slots, 0, lowered);
+    if (lowered.steps.size() == 1) {
+        code_ = lowered.steps[0].code;
+        payload_.arg = lowered.steps[0].arg;
+    } else {
+        code_ = Code::kSteps;
+        payload_.steps = new Steps(std::move(lowered));
+    }
+}
+
+SlotProgram::SlotProgram(const SlotProgram& other)
+    : expr_(other.expr_), code_(other.code_)
+{
+    if (code_ == Code::kSteps) {
+        payload_.steps = new Steps(*other.payload_.steps);
+    } else {
+        payload_ = other.payload_;
+    }
+}
+
+SlotProgram::SlotProgram(SlotProgram&& other) noexcept
+    : expr_(std::move(other.expr_)), payload_(other.payload_),
+      code_(other.code_)
+{
+    other.code_ = Code::kFail; // `other` no longer owns the steps
+}
+
+SlotProgram&
+SlotProgram::operator=(SlotProgram other) noexcept
+{
+    std::swap(expr_, other.expr_);
+    std::swap(payload_, other.payload_);
+    std::swap(code_, other.code_);
+    return *this;
+}
+
+SlotProgram::~SlotProgram()
+{
+    if (code_ == Code::kSteps) delete payload_.steps;
+}
+
+void
+SlotProgram::lower(const PrimExpr& expr, const SlotMap& slots, int depth,
+                   Steps& out)
+{
+    // `depth` values sit on the stack below this expression's result.
+    out.maxDepth = std::max(out.maxDepth, depth + 1);
+    std::vector<Step>& steps = out.steps;
+    auto emit = [&](Code code, int64_t arg = 0) {
+        steps.push_back({code, arg});
+    };
+    if (!expr) {
+        emit(Code::kFail);
+        return;
+    }
+    switch (expr->kind()) {
+      case ExprKind::kIntImm:
+        emit(Code::kImm, static_cast<const IntImmNode*>(expr.get())->value);
+        return;
+      case ExprKind::kVar: {
+        auto it = slots.find(static_cast<const ::relax::VarNode*>(expr.get()));
+        if (it == slots.end()) {
+            emit(Code::kFail);
+        } else {
+            emit(Code::kSlot, it->second);
+        }
+        return;
+      }
+      case ExprKind::kNot:
+        lower(static_cast<const UnaryNode*>(expr.get())->a, slots, depth,
+              out);
+        emit(Code::kNot);
+        return;
+      case ExprKind::kCast:
+        lower(static_cast<const UnaryNode*>(expr.get())->a, slots, depth,
+              out);
+        return;
+      case ExprKind::kSelect: {
+        const auto* node = static_cast<const SelectNode*>(expr.get());
+        lower(node->cond, slots, depth, out);
+        size_t to_false = steps.size();
+        emit(Code::kJumpIfZero);
+        lower(node->trueValue, slots, depth, out);
+        size_t to_end = steps.size();
+        emit(Code::kJump);
+        steps[to_false].arg = (int64_t)steps.size();
+        lower(node->falseValue, slots, depth, out);
+        steps[to_end].arg = (int64_t)steps.size();
+        return;
+      }
+      case ExprKind::kFloatImm:
+      case ExprKind::kCall:
+      case ExprKind::kBufferLoad:
+        emit(Code::kFail);
+        return;
+      default:
+        break;
+    }
+    Code code;
+    switch (expr->kind()) {
+      case ExprKind::kAdd: code = Code::kAdd; break;
+      case ExprKind::kSub: code = Code::kSub; break;
+      case ExprKind::kMul: code = Code::kMul; break;
+      case ExprKind::kFloorDiv: code = Code::kFloorDiv; break;
+      case ExprKind::kFloorMod: code = Code::kFloorMod; break;
+      case ExprKind::kDiv: code = Code::kDiv; break;
+      case ExprKind::kMin: code = Code::kMin; break;
+      case ExprKind::kMax: code = Code::kMax; break;
+      case ExprKind::kEQ: code = Code::kEQ; break;
+      case ExprKind::kNE: code = Code::kNE; break;
+      case ExprKind::kLT: code = Code::kLT; break;
+      case ExprKind::kLE: code = Code::kLE; break;
+      case ExprKind::kGT: code = Code::kGT; break;
+      case ExprKind::kGE: code = Code::kGE; break;
+      case ExprKind::kAnd: code = Code::kAnd; break;
+      case ExprKind::kOr: code = Code::kOr; break;
+      default: emit(Code::kFail); return;
+    }
+    const auto* node = static_cast<const BinaryNode*>(expr.get());
+    lower(node->a, slots, depth, out);
+    lower(node->b, slots, depth + 1, out);
+    emit(code);
+}
+
+std::vector<int>
+SlotProgram::reads() const
+{
+    std::vector<int> out;
+    if (code_ == Code::kSlot) out.push_back((int)payload_.arg);
+    if (code_ == Code::kSteps) {
+        for (const Step& step : payload_.steps->steps) {
+            if (step.code == Code::kSlot) out.push_back((int)step.arg);
+        }
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+}
 
 using namespace ir;
 using Var = ir::Var;
@@ -41,8 +185,14 @@ class FunctionCodegen
         for (const auto& param : func_->params) {
             regOf(param.get());
         }
-        emitInputShapeMatches();
         const auto* seq = static_cast<const SeqExprNode*>(func_->body.get());
+        // About one instruction per parameter and binding (a constant
+        // adds a load at its first use): reserving spares the copies of
+        // a growing vector, and the reserved tail is never touched.
+        size_t bound = func_->params.size() + 1;
+        for (const auto& block : seq->blocks) bound += block->bindings.size();
+        out_.instrs.reserve(bound);
+        emitInputShapeMatches();
         for (const auto& block : seq->blocks) {
             for (const auto& binding : block->bindings) {
                 emitBinding(binding);
@@ -53,7 +203,7 @@ class FunctionCodegen
         ret.args.push_back(regOfExpr(seq->body));
         out_.instrs.push_back(std::move(ret));
         out_.numRegs = nextReg_;
-        return out_;
+        return std::move(out_);
     }
 
   private:
@@ -86,7 +236,8 @@ class FunctionCodegen
                 Instr instr;
                 instr.op = Instr::Op::kLoadConst;
                 instr.dst = it->second;
-                instr.constant = node->data;
+                instr.index = (int)out_.constants.size();
+                out_.constants.push_back(node->data);
                 out_.instrs.push_back(std::move(instr));
             }
             return it->second;
@@ -96,32 +247,73 @@ class FunctionCodegen
         return regOf(static_cast<const VarNode*>(expr.get()));
     }
 
-    /** Populates the symbol table from input tensor shapes (MatchShape). */
+    /** The slot of `dim`, a bare variable, assigned at its first bind. */
+    int
+    bindSlot(const PrimExpr& dim)
+    {
+        auto var = std::static_pointer_cast<const ::relax::VarNode>(dim);
+        auto [it, inserted] = slots_.emplace(var.get(), (int)slots_.size());
+        if (inserted) out_.slotVars.push_back(var);
+        return it->second;
+    }
+
+    /** `expr` lowered against the variables bound so far. */
+    SlotProgram
+    lowered(const PrimExpr& expr) const
+    {
+        return SlotProgram(expr, slots_);
+    }
+
+    std::vector<SlotProgram>
+    lowered(const std::vector<PrimExpr>& exprs) const
+    {
+        std::vector<SlotProgram> programs;
+        programs.reserve(exprs.size());
+        for (const auto& expr : exprs) programs.push_back(lowered(expr));
+        return programs;
+    }
+
+    /**
+     * One MatchShape over `shape`: bare variables for which `binds`
+     * holds bind their slots, every other dim becomes a check. Checks
+     * run after the binds, so they are lowered after them.
+     */
+    template <typename BindsVar>
+    Instr
+    matchShape(RegIndex reg, const std::vector<PrimExpr>& shape,
+               BindsVar binds)
+    {
+        Instr instr;
+        instr.op = Instr::Op::kMatchShape;
+        instr.args.push_back(reg);
+        std::vector<std::pair<int, PrimExpr>> checks;
+        for (size_t d = 0; d < shape.size(); ++d) {
+            const PrimExpr& dim = shape[d];
+            if (dim->kind() == ExprKind::kVar && binds(dim)) {
+                instr.binds.emplace_back((int)d, bindSlot(dim));
+            } else {
+                checks.emplace_back((int)d, dim);
+            }
+        }
+        for (const auto& [d, dim] : checks) {
+            instr.checks.emplace_back(d, lowered(dim));
+        }
+        return instr;
+    }
+
+    /** Populates the shape table from input tensor shapes (MatchShape):
+     *  a variable's first occurrence binds it, later ones check it. */
     void
     emitInputShapeMatches()
     {
-        std::unordered_set<const ::relax::VarNode*> bound;
         for (const auto& param : func_->params) {
             const auto* tensor = asTensor(param->structInfo());
             if (!tensor || !tensor->shape) continue;
-            Instr instr;
-            instr.op = Instr::Op::kMatchShape;
-            instr.args.push_back(regOf(param.get()));
-            for (size_t d = 0; d < tensor->shape->size(); ++d) {
-                const PrimExpr& dim = (*tensor->shape)[d];
-                if (dim->kind() == ExprKind::kVar) {
-                    const auto* v =
-                        static_cast<const ::relax::VarNode*>(dim.get());
-                    if (bound.insert(v).second) {
-                        instr.binds.emplace_back(
-                            (int)d,
-                            std::static_pointer_cast<const ::relax::VarNode>(
-                                dim));
-                        continue;
-                    }
-                }
-                instr.checks.emplace_back((int)d, dim);
-            }
+            Instr instr = matchShape(
+                regOf(param.get()), *tensor->shape, [&](const PrimExpr& v) {
+                    return !slots_.count(
+                        static_cast<const ::relax::VarNode*>(v.get()));
+                });
             if (!instr.binds.empty() || !instr.checks.empty()) {
                 out_.instrs.push_back(std::move(instr));
             }
@@ -141,9 +333,9 @@ class FunctionCodegen
             Instr instr;
             instr.op = Instr::Op::kAllocStorage;
             instr.dst = regOf(binding.var.get());
-            instr.sizeExpr =
+            instr.shape.push_back(lowered(
                 static_cast<const PrimValueNode*>(call->args[0].get())
-                    ->value;
+                    ->value));
             out_.instrs.push_back(std::move(instr));
             return;
         }
@@ -159,7 +351,7 @@ class FunctionCodegen
             if (!call->args.empty()) {
                 instr.args.push_back(regOfExpr(call->args[0])); // storage
             }
-            instr.shape = *tensor->shape;
+            instr.shape = lowered(*tensor->shape);
             instr.dtype = tensor->dtype;
             out_.instrs.push_back(std::move(instr));
             return;
@@ -188,25 +380,31 @@ class FunctionCodegen
                 RELAX_ICHECK(module_->getTIRFunc(instr.callee))
                     << "missing kernel " << instr.callee;
             }
-            for (int i = 0; i < instr.numInputs + instr.numOutputs; ++i) {
+            int num_args = instr.numInputs + instr.numOutputs;
+            for (int i = 0; i < num_args; ++i) {
                 instr.args.push_back(regOfExpr(call->args[1 + i]));
-                if (instr.isLibrary) {
-                    // Carry each argument's symbolic shape so the VM can
-                    // price library kernels at the padded binding inside
-                    // bucketed graph regions (DESIGN.md §4).
+            }
+            if (instr.isLibrary) {
+                // Carry each argument's symbolic shape so the VM can
+                // price library kernels at the padded binding inside
+                // bucketed graph regions (DESIGN.md §4).
+                std::vector<PrimExpr> dims;
+                for (int i = 0; i < num_args; ++i) {
                     const auto* tensor =
                         asTensor(call->args[1 + i]->structInfo());
-                    instr.argShapes.push_back(
-                        tensor && tensor->shape
-                            ? *tensor->shape
-                            : std::vector<PrimExpr>{});
+                    if (tensor && tensor->shape) {
+                        dims.insert(dims.end(), tensor->shape->begin(),
+                                    tensor->shape->end());
+                    }
+                    instr.argShapeEnds.push_back((int)dims.size());
                 }
+                instr.argShapes = lowered(dims);
             }
             for (int64_t i = 0; i < num_sym; ++i) {
                 const Expr& arg =
                     call->args[1 + instr.numInputs + instr.numOutputs + i];
-                instr.symExprs.push_back(
-                    static_cast<const PrimValueNode*>(arg.get())->value);
+                instr.symArgs.push_back(lowered(
+                    static_cast<const PrimValueNode*>(arg.get())->value));
             }
             out_.instrs.push_back(std::move(instr));
             return;
@@ -238,6 +436,7 @@ class FunctionCodegen
                 it != call->attrs.end()) {
                 instr.bucketBlock = std::get<int64_t>(it->second);
             }
+            instr.boundSlots = (int)out_.slotVars.size();
             out_.instrs.push_back(std::move(instr));
             return;
         }
@@ -287,20 +486,8 @@ class FunctionCodegen
 
         const auto* tensor = asTensor(binding.castInfo);
         if (!tensor || !tensor->shape) return;
-        Instr match;
-        match.op = Instr::Op::kMatchShape;
-        match.args.push_back(reg);
-        for (size_t d = 0; d < tensor->shape->size(); ++d) {
-            const PrimExpr& dim = (*tensor->shape)[d];
-            if (dim->kind() == ExprKind::kVar) {
-                match.binds.emplace_back(
-                    (int)d,
-                    std::static_pointer_cast<const ::relax::VarNode>(dim));
-            } else {
-                match.checks.emplace_back((int)d, dim);
-            }
-        }
-        out_.instrs.push_back(std::move(match));
+        out_.instrs.push_back(matchShape(reg, *tensor->shape,
+                                         [](const PrimExpr&) { return true; }));
     }
 
     Function func_;
@@ -309,6 +496,8 @@ class FunctionCodegen
     std::unordered_map<const VarNode*, RegIndex> regs_;
     std::unordered_map<const ConstantNode*, RegIndex> constRegs_;
     int nextReg_ = 0;
+    /** The shape table so far: every variable a MatchShape has bound. */
+    SlotMap slots_;
 };
 
 } // namespace
@@ -335,24 +524,28 @@ toString(const VMFunction& func)
         switch (instr.op) {
           case Instr::Op::kMatchShape:
             os << "  match_shape r" << instr.args[0];
-            for (const auto& [dim, v] : instr.binds) {
-                os << " [" << dim << "]->" << v->name;
+            for (const auto& [dim, slot] : instr.binds) {
+                os << " [" << dim << "]->" << func.slotVars[slot]->name;
             }
-            for (const auto& [dim, expr] : instr.checks) {
-                os << " check[" << dim << "]==" << relax::toString(expr);
+            for (const auto& [dim, check] : instr.checks) {
+                os << " check[" << dim
+                   << "]==" << relax::toString(check.expr());
             }
             break;
           case Instr::Op::kAllocStorage:
             os << "  r" << instr.dst << " = alloc_storage("
-               << relax::toString(instr.sizeExpr) << ")";
+               << relax::toString(instr.shape[0].expr()) << ")";
             break;
-          case Instr::Op::kAllocTensor:
+          case Instr::Op::kAllocTensor: {
+            std::vector<PrimExpr> shape;
+            for (const auto& dim : instr.shape) shape.push_back(dim.expr());
             os << "  r" << instr.dst << " = alloc_tensor("
-               << relax::toString(instr.shape) << ", "
+               << relax::toString(shape) << ", "
                << instr.dtype.toString();
             if (!instr.args.empty()) os << ", storage=r" << instr.args[0];
             os << ")";
             break;
+          }
           case Instr::Op::kKernelCall:
             os << "  kernel_call " << instr.callee
                << (instr.isLibrary ? " [lib]" : "") << " regs(";

@@ -1,12 +1,13 @@
 /**
  * @file
- * The virtual machine: the library-kernel registry, the executor loop
- * (invokeLockstep — invoke() is its one-VM case), the per-instruction
- * executors (MatchShape / AllocStorage / AllocTensor / KernelCall /
- * PackedCall / GraphBegin, which decides capture or replay against the
- * VM's own captured graphs), and the path that prices generated kernels
- * on the device roofline (Executable::kernelSite +
- * generatedKernelEfficiency).
+ * The virtual machine: the library-kernel registry, slot-program
+ * evaluation, the executor loop (invokeLockstep — invoke() is its one-VM
+ * case), the per-instruction executors (MatchShape / AllocStorage /
+ * AllocTensor / KernelCall / PackedCall / GraphBegin, which decides
+ * capture or replay against the VM's own captured graphs), and the path
+ * that prices kernels on the device roofline: Executable::kernelSite
+ * resolves a call site once, and a generated site re-prices only when
+ * the padded slot values its cost reads change.
  */
 #include "vm/vm.h"
 
@@ -14,6 +15,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <sstream>
+#include <tuple>
 
 #include "device/interconnect.h"
 #include "tir/analysis.h"
@@ -91,6 +93,81 @@ aliasChecksPerformed()
     return g_aliasChecks.load(std::memory_order_relaxed);
 }
 
+std::optional<int64_t>
+SlotProgram::tryEval(const int64_t* slots) const
+{
+    switch (code_) {
+      case Code::kImm: return payload_.arg;
+      case Code::kSlot: return slots[payload_.arg];
+      case Code::kSteps: break;
+      default: return std::nullopt;
+    }
+    const std::vector<Step>& steps = payload_.steps->steps;
+    constexpr int kInline = 16;
+    int64_t inline_stack[kInline];
+    std::vector<int64_t> heap_stack;
+    int64_t* stack = inline_stack;
+    if (payload_.steps->maxDepth > kInline) {
+        heap_stack.resize(payload_.steps->maxDepth);
+        stack = heap_stack.data();
+    }
+    int sp = 0;
+    size_t pc = 0;
+    while (pc < steps.size()) {
+        const Step& step = steps[pc++];
+        switch (step.code) {
+          case Code::kImm: stack[sp++] = step.arg; continue;
+          case Code::kSlot: stack[sp++] = slots[step.arg]; continue;
+          case Code::kFail: return std::nullopt;
+          case Code::kNot: stack[sp - 1] = stack[sp - 1] == 0 ? 1 : 0; continue;
+          case Code::kJumpIfZero:
+            if (stack[--sp] == 0) pc = (size_t)step.arg;
+            continue;
+          case Code::kJump: pc = (size_t)step.arg; continue;
+          default: break;
+        }
+        int64_t b = stack[--sp];
+        int64_t& a = stack[sp - 1];
+        switch (step.code) {
+          case Code::kAdd: a = a + b; break;
+          case Code::kSub: a = a - b; break;
+          case Code::kMul: a = a * b; break;
+          case Code::kFloorDiv:
+            if (b == 0) return std::nullopt;
+            a = floorDiv(a, b);
+            break;
+          case Code::kFloorMod:
+            if (b == 0) return std::nullopt;
+            a = floorMod(a, b);
+            break;
+          case Code::kDiv:
+            if (b == 0) return std::nullopt;
+            a = a / b;
+            break;
+          case Code::kMin: a = std::min(a, b); break;
+          case Code::kMax: a = std::max(a, b); break;
+          case Code::kEQ: a = a == b; break;
+          case Code::kNE: a = a != b; break;
+          case Code::kLT: a = a < b; break;
+          case Code::kLE: a = a <= b; break;
+          case Code::kGT: a = a > b; break;
+          case Code::kGE: a = a >= b; break;
+          case Code::kAnd: a = (a != 0) && (b != 0); break;
+          case Code::kOr: a = (a != 0) || (b != 0); break;
+          default: return std::nullopt;
+        }
+    }
+    return stack[0];
+}
+
+int64_t
+SlotProgram::eval(const int64_t* slots) const
+{
+    std::optional<int64_t> value = tryEval(slots);
+    if (!value) throwUnevaluable(expr_);
+    return *value;
+}
+
 LibraryRegistry&
 LibraryRegistry::global()
 {
@@ -117,14 +194,26 @@ namespace {
 struct Frame
 {
     std::vector<Value> regs;
-    VarBinding symbols; //!< the runtime symbolic shape table (§4.7)
+    /** The runtime symbolic shape table (§4.7): one slot per variable. */
+    std::vector<int64_t> slots;
     /**
-     * Inside a bucketed graph region: symbolic values rounded up to the
-     * region's bucket boundary. Kernel *pricing* uses these (the captured
-     * graph launches padded kernels); data-mode compute always runs at
-     * the real shapes, which is what keeps replay bit-identical.
+     * Set inside a bucketed graph region that rounded some variable up
+     * to its bucket ceiling. `padded` is then the shape table with each
+     * variable bound at the region's start at its ceiling (marked in
+     * `padOverride`) and every other slot at its live value. Kernel
+     * *pricing* reads it (the captured graph launches padded kernels);
+     * data-mode compute always runs at the real shapes, which is what
+     * keeps replay bit-identical.
      */
-    VarBinding paddedSymbols;
+    bool padding = false;
+    std::vector<int64_t> padded;
+    std::vector<char> padOverride;
+    /**
+     * Timing mode, inside a padding region: the data-bearing pricing
+     * stand-ins built so far, by register. Timing mode runs no kernel, so
+     * no tensor changes until the region ends and each is built once.
+     */
+    std::vector<std::pair<RegIndex, NDArray>> standIns;
     /** Pool allocations owned by this call (returned to pool at exit). */
     std::vector<int64_t> pooledBytes;
 };
@@ -153,27 +242,61 @@ asTensorValue(Value& value, const char* what)
     return *array;
 }
 
+/** Whether pricing reads `array`'s values: integer host tensors (e.g.
+ *  the ragged length vector) carry data even in timing mode. */
+bool
+isHostMetadata(const NDArray& array)
+{
+    return array.hasData() &&
+           (array.dtype().isInt() || array.dtype().isUInt());
+}
+
 /**
  * Stand-in for `array` at the padded shape: metadata-only normally, but
- * integer host tensors (e.g. the ragged length vector — the only data
- * any cost model reads) keep their values in the prefix — the padded
- * tail reads as zeros, so phantom rows price as empty sequences. Large
- * payload tensors are never copied: their cost contribution is shape-only.
+ * integer host tensors (the only data any cost model reads) keep their
+ * values in the prefix — the padded tail reads as zeros, so phantom rows
+ * price as empty sequences. Large payload tensors are never copied:
+ * their cost contribution is shape-only.
  */
 NDArray
 padForPricing(const NDArray& array, std::vector<int64_t> padded_shape)
 {
-    bool host_metadata = array.hasData() && (array.dtype().isInt() ||
-                                             array.dtype().isUInt());
-    if (!host_metadata) {
+    if (!isHostMetadata(array)) {
         return NDArray::metaOnly(std::move(padded_shape), array.dtype());
     }
     NDArray padded = NDArray::zeros(padded_shape, array.dtype());
     const auto& shape = array.shape();
-    std::vector<int64_t> index(shape.size(), 0);
-    for (int64_t flat = 0; flat < array.numel(); ++flat) {
-        padded.set(padded.flatten(index), array.at(flat));
-        for (size_t d = shape.size(); d-- > 0;) {
+    bool fits = shape.size() == padded_shape.size() && !shape.empty();
+    for (size_t d = 0; fits && d < shape.size(); ++d) {
+        fits = shape[d] <= padded_shape[d];
+    }
+    if (!fits) {
+        // Rank 0, or a dim the padding shrank: element by element, so an
+        // element past the padded shape fails flatten's bounds check.
+        std::vector<int64_t> index(shape.size(), 0);
+        for (int64_t flat = 0; flat < array.numel(); ++flat) {
+            padded.set(padded.flatten(index), array.at(flat));
+            for (size_t d = shape.size(); d-- > 0;) {
+                if (++index[d] < shape[d]) break;
+                index[d] = 0;
+            }
+        }
+        return padded;
+    }
+    // Row by row: each innermost row lands at its padded offset.
+    int64_t row = shape.back();
+    if (row == 0) return padded;
+    const std::vector<double>& src = array.data();
+    std::vector<double>& dst = padded.data();
+    std::vector<int64_t> index(shape.size() - 1, 0);
+    for (int64_t offset = 0; offset < array.numel(); offset += row) {
+        int64_t at = 0;
+        for (size_t d = 0; d < index.size(); ++d) {
+            at = at * padded_shape[d] + index[d];
+        }
+        std::copy(src.begin() + offset, src.begin() + offset + row,
+                  dst.begin() + at * padded_shape.back());
+        for (size_t d = index.size(); d-- > 0;) {
             if (++index[d] < shape[d]) break;
             index[d] = 0;
         }
@@ -181,45 +304,89 @@ padForPricing(const NDArray& array, std::vector<int64_t> padded_shape)
     return padded;
 }
 
-/** Efficiency class of a generated kernel on the given device, given
- *  the flops and bytes it costs at `binding`. */
-double
-generatedKernelEfficiency(const KernelSite& site, double flops, double bytes,
-                          const VarBinding& binding,
-                          const device::DeviceSpec& spec)
+/** The kernel slots of `func`'s variables, in tir::bindShapes' binding
+ *  order: symbolic parameters, then bare buffer-shape variables. */
+void
+layOutKernelSlots(const tir::PrimFunc& func, KernelSite& site,
+                  SlotMap& slots)
 {
-    // Fused kernels lose their single-op classification; detect a matmul
-    // core by arithmetic intensity instead.
-    bool has_fma = site.kind == tir::PatternKind::kOutputEwiseFusible ||
-                   (bytes > 0 && flops / bytes > 16.0);
-    if (!has_fma) return spec.genElemwiseEfficiency;
-    // Matrix-vector (single output row) uses the tuned gemv schedule.
-    const tir::Buffer& out = site.func->params.back();
-    int64_t rows = 1;
-    for (size_t d = 0; d + 1 < out->shape.size(); ++d) {
-        rows *= evalInt(out->shape[d], binding);
+    auto slotOf = [&](const ::relax::VarNode* v) {
+        auto [it, inserted] = slots.emplace(v, (int)slots.size());
+        return std::make_pair(it->second, inserted);
+    };
+    for (const auto& sym : func->symParams) {
+        site.symSlots.push_back(slotOf(sym.get()).first);
     }
-    return rows <= 1 ? spec.genGemvEfficiency : spec.genGemmEfficiency;
+    for (const tir::Buffer& buffer : func->params) {
+        site.ranks.push_back((int)buffer->shape.size());
+        for (const PrimExpr& dim : buffer->shape) {
+            KernelSite::Dim& out = site.dims.emplace_back();
+            if (dim->kind() != ExprKind::kVar) continue;
+            auto [slot, first] =
+                slotOf(static_cast<const ::relax::VarNode*>(dim.get()));
+            out.slot = slot;
+            out.binds = first;
+        }
+    }
+    for (size_t i = 0; i < func->params.size(); ++i) {
+        const tir::Buffer& buffer = func->params[i];
+        for (size_t d = 0; d < buffer->shape.size(); ++d) {
+            if (buffer->shape[d]->kind() == ExprKind::kVar) continue;
+            site.checks.push_back(
+                {(int)i, (int)d, SlotProgram(buffer->shape[d], slots)});
+        }
+    }
+    site.numSlots = (int)slots.size();
 }
 
 } // namespace
 
-const KernelSite&
-Executable::kernelSite(const Instr& instr) const
+KernelSite&
+Executable::kernelSite(const VMFunction& func, const Instr& instr) const
 {
     auto [it, inserted] = kernelSites_.try_emplace(&instr);
     KernelSite& site = it->second;
-    if (inserted) {
-        site.func = module->getTIRFunc(instr.callee);
-        tir::TensorProgramCost cost = tir::analyzeCost(site.func);
-        site.flops = cost.flops;
-        site.bytes = cost.bytes;
-        auto attr = site.func->attrs.find(tir::kComputePatternAttr);
-        site.kind = attr != site.func->attrs.end()
-                        ? tir::patternKindFromName(attr->second)
-                        : tir::analyzePatternKind(site.func);
+    if (!inserted) return site;
+    site.func = module->getTIRFunc(instr.callee);
+    auto attr = site.func->attrs.find(tir::kComputePatternAttr);
+    site.kind = attr != site.func->attrs.end()
+                    ? tir::patternKindFromName(attr->second)
+                    : tir::analyzePatternKind(site.func);
+    SlotMap slots;
+    layOutKernelSlots(site.func, site, slots);
+    site.functionSlots.assign(site.numSlots, -1);
+    for (size_t f = 0; f < func.slotVars.size(); ++f) {
+        auto slot = slots.find(func.slotVars[f].get());
+        if (slot != slots.end()) site.functionSlots[slot->second] = (int)f;
     }
+    {
+        tir::TensorProgramCost cost = tir::analyzeCost(site.func);
+        site.flops = SlotProgram(cost.flops, slots).withoutExpr();
+        site.bytes = SlotProgram(cost.bytes, slots).withoutExpr();
+    }
+    const tir::Buffer& out = site.func->params.back();
+    for (size_t d = 0; d + 1 < out->shape.size(); ++d) {
+        site.outRows.emplace_back(out->shape[d], slots);
+    }
+    std::vector<int>& key = site.costSlots;
+    auto collect = [&](const SlotProgram& program) {
+        std::vector<int> reads = program.reads();
+        key.insert(key.end(), reads.begin(), reads.end());
+    };
+    collect(site.flops);
+    collect(site.bytes);
+    for (const SlotProgram& rows : site.outRows) collect(rows);
+    std::sort(key.begin(), key.end());
+    key.erase(std::unique(key.begin(), key.end()), key.end());
     return site;
+}
+
+const LibraryKernel*
+Executable::libraryKernel(const Instr& instr) const
+{
+    const LibraryKernel*& kernel = libraries_[&instr];
+    if (!kernel) kernel = LibraryRegistry::global().find(instr.callee);
+    return kernel;
 }
 
 struct Executor
@@ -244,17 +411,34 @@ struct Executor
     /** The kRet value, once executed. */
     Value result_ = {};
 
-    /** Executes one instruction against the frame. */
-    void step(const Instr& instr, Frame& frame, const std::string& fn);
+    // Scratch reused across this call's kernel launches.
+    std::vector<NDArray> args_ = {};
+    std::vector<NDArray> pricedArgs_ = {};
+    std::vector<int64_t> symArgs_ = {};
+    std::vector<int64_t> kernelSlots_ = {};
+    std::vector<int64_t> pricedSlots_ = {};
+    std::vector<int64_t> shape_ = {};
+
+    /** Executes one instruction of `fn` against the frame. */
+    void step(const Instr& instr, Frame& frame, const VMFunction& fn);
 
     void execMatchShape(const Instr& instr, Frame& frame,
                         const std::string& fn);
     void execAllocStorage(const Instr& instr, Frame& frame,
                           const std::string& fn);
     void execAllocTensor(const Instr& instr, Frame& frame);
-    void execKernelCall(const Instr& instr, Frame& frame);
+    void execKernelCall(const Instr& instr, Frame& frame,
+                        const VMFunction& fn);
+    /** `ref_args` holds the alias check's argument copies, or is null. */
+    void launchLibrary(const Instr& instr, Frame& frame,
+                       std::vector<NDArray>* ref_args);
+    void launchGenerated(const Instr& instr, KernelSite& site, Frame& frame,
+                         std::vector<NDArray>* ref_args);
+    bool bindKernelSlots(const KernelSite& site);
+    NDArray standIn(Frame& frame, RegIndex reg, const NDArray& array,
+                    const std::vector<int64_t>& shape);
     void execPackedCall(const Instr& instr, Frame& frame);
-    void beginGraph(const Instr& instr, Frame& frame);
+    void beginGraph(const Instr& instr, Frame& frame, const VMFunction& fn);
     void allocPooled(int64_t bytes, Frame& frame);
 };
 
@@ -449,6 +633,7 @@ VirtualMachine::invokeLockstep(const std::vector<VirtualMachine*>& shards,
                                      shard.capturedGraphs_});
         findFunction(exec, name, args[s].size()); // arity per shard
         frames[s].regs.resize(func.numRegs);
+        frames[s].slots.assign(func.slotVars.size(), 0);
         for (size_t i = 0; i < args[s].size(); ++i) {
             frames[s].regs[i] = args[s][i];
         }
@@ -474,7 +659,7 @@ VirtualMachine::invokeLockstep(const std::vector<VirtualMachine*>& shards,
             continue;
         }
         for (size_t s = 0; s < n; ++s) {
-            executors[s].step(instr, frames[s], name);
+            executors[s].step(instr, frames[s], func);
         }
     }
 
@@ -490,31 +675,32 @@ VirtualMachine::invokeLockstep(const std::vector<VirtualMachine*>& shards,
 }
 
 void
-Executor::step(const Instr& instr, Frame& frame, const std::string& fn)
+Executor::step(const Instr& instr, Frame& frame, const VMFunction& fn)
 {
     TraceRecorder& trace = device_->trace();
     switch (instr.op) {
       case Instr::Op::kMatchShape:
-        execMatchShape(instr, frame, fn);
+        execMatchShape(instr, frame, fn.name);
         break;
       case Instr::Op::kAllocStorage:
-        execAllocStorage(instr, frame, fn);
+        execAllocStorage(instr, frame, fn.name);
         break;
       case Instr::Op::kAllocTensor:
         execAllocTensor(instr, frame);
         break;
       case Instr::Op::kKernelCall:
-        execKernelCall(instr, frame);
+        execKernelCall(instr, frame, fn);
         break;
       case Instr::Op::kPackedCall:
         execPackedCall(instr, frame);
         break;
       case Instr::Op::kGraphBegin:
-        beginGraph(instr, frame);
+        beginGraph(instr, frame, fn);
         break;
       case Instr::Op::kGraphEnd:
         device_->endGraph();
-        frame.paddedSymbols.clear();
+        frame.padding = false;
+        frame.standIns.clear();
         if (trace.enabled()) {
             // Capture vs replay is THE flag downstream tools read:
             // the Fig. 17 launch-overhead story is visible as
@@ -532,7 +718,7 @@ Executor::step(const Instr& instr, Frame& frame, const std::string& fn)
         openGraphId_ = -1;
         break;
       case Instr::Op::kLoadConst:
-        frame.regs[instr.dst] = instr.constant;
+        frame.regs[instr.dst] = fn.constants[instr.index];
         break;
       case Instr::Op::kMakeTuple: {
         auto tuple = std::make_shared<TupleValue>();
@@ -555,28 +741,35 @@ Executor::step(const Instr& instr, Frame& frame, const std::string& fn)
 }
 
 void
-Executor::beginGraph(const Instr& instr, Frame& frame)
+Executor::beginGraph(const Instr& instr, Frame& frame, const VMFunction& fn)
 {
     // Key the captured graph by the bucketed shape signature: each
-    // symbolic value is rounded up to its bucket ceiling, so every shape
-    // in a bucket maps to one graph (captured at the ceiling shape,
-    // launched padded/masked).
+    // symbolic value bound so far is rounded up to its bucket ceiling,
+    // so every shape in a bucket maps to one graph (captured at the
+    // ceiling shape, launched padded/masked).
     int64_t block = std::max<int64_t>(instr.bucketBlock, 1);
-    std::vector<std::pair<std::string, int64_t>> dims;
-    dims.reserve(frame.symbols.size());
-    for (const auto& [v, value] : frame.symbols) {
+    frame.padded = frame.slots;
+    frame.padOverride.assign(frame.slots.size(), 0);
+    std::vector<std::pair<const std::string*, int64_t>> dims;
+    dims.reserve(instr.boundSlots);
+    for (int slot = 0; slot < instr.boundSlots; ++slot) {
+        int64_t value = frame.slots[slot];
         int64_t padded = block > 1 ? bucketCeiling(value, block) : value;
-        dims.emplace_back(v->name, padded);
+        dims.emplace_back(&fn.slotVars[slot]->name, padded);
         if (padded != value) {
-            frame.paddedSymbols[v] = padded;
+            frame.padded[slot] = padded;
+            frame.padOverride[slot] = 1;
+            frame.padding = true;
         }
     }
     // Name-sorted for a deterministic signature (symbolic names are
     // unique within a function: b, n, m, ...).
-    std::sort(dims.begin(), dims.end());
+    std::sort(dims.begin(), dims.end(), [](const auto& x, const auto& y) {
+        return std::tie(*x.first, x.second) < std::tie(*y.first, y.second);
+    });
     std::ostringstream signature;
     for (const auto& [name, value] : dims) {
-        signature << name << "=" << value << ",";
+        signature << *name << "=" << value << ",";
     }
     graphStartTs_ = device_->clockUs();
     graphSignature_ = signature.str();
@@ -603,15 +796,20 @@ Executor::execMatchShape(const Instr& instr, Frame& frame,
             << fn << ": runtime shape check failed: expected rank " << rank
             << ", got " << tensor.shape().size();
     }
-    for (const auto& [dim, v] : instr.binds) {
-        frame.symbols[v.get()] = tensor.shape()[dim];
+    for (const auto& [dim, slot] : instr.binds) {
+        frame.slots[slot] = tensor.shape()[dim];
+        // A rebinding inside a region is live, unless the region padded
+        // this variable at its start.
+        if (frame.padding && !frame.padOverride[slot]) {
+            frame.padded[slot] = tensor.shape()[dim];
+        }
     }
-    for (const auto& [dim, expr] : instr.checks) {
-        int64_t expected = evalInt(expr, frame.symbols);
+    for (const auto& [dim, check] : instr.checks) {
+        int64_t expected = check.eval(frame.slots.data());
         if (tensor.shape()[dim] != expected) {
             RELAX_THROW(ShapeError)
                 << fn << ": runtime shape check failed: dim " << dim
-                << " expected " << relax::toString(expr) << " = "
+                << " expected " << relax::toString(check.expr()) << " = "
                 << expected << ", got " << tensor.shape()[dim];
         }
     }
@@ -621,7 +819,8 @@ void
 Executor::execAllocStorage(const Instr& instr, Frame& frame,
                                  const std::string& fn)
 {
-    const int64_t* const_size = asIntImm(instr.sizeExpr);
+    const SlotProgram& size = instr.shape[0];
+    const int64_t* const_size = asIntImm(size.expr());
     if (const_size) {
         // Statically planned: allocate once, keep across invocations —
         // the "allocate all memory in advance" behavior of §4.3/§4.5.
@@ -639,7 +838,7 @@ Executor::execAllocStorage(const Instr& instr, Frame& frame,
     }
     // Dynamic storage: served by the runtime pool.
     auto storage = std::make_shared<Storage>();
-    storage->bytes = evalInt(instr.sizeExpr, frame.symbols);
+    storage->bytes = size.eval(frame.slots.data());
     allocPooled(storage->bytes, frame);
     frame.regs[instr.dst] = storage;
 }
@@ -665,7 +864,7 @@ Executor::execAllocTensor(const Instr& instr, Frame& frame)
     std::vector<int64_t> shape;
     shape.reserve(instr.shape.size());
     for (const auto& dim : instr.shape) {
-        shape.push_back(evalInt(dim, frame.symbols));
+        shape.push_back(dim.eval(frame.slots.data()));
     }
     NDArray tensor = dataMode_ ? NDArray::zeros(shape, instr.dtype)
                                : NDArray::metaOnly(shape, instr.dtype);
@@ -676,13 +875,13 @@ Executor::execAllocTensor(const Instr& instr, Frame& frame)
 }
 
 void
-Executor::execKernelCall(const Instr& instr, Frame& frame)
+Executor::execKernelCall(const Instr& instr, Frame& frame,
+                         const VMFunction& fn)
 {
-    std::vector<NDArray> args;
-    args.reserve(instr.args.size());
-    for (RegIndex reg : instr.args) {
-        args.push_back(asTensorValue(frame.regs[reg],
-                                     instr.callee.c_str()));
+    args_.resize(instr.args.size());
+    for (size_t i = 0; i < instr.args.size(); ++i) {
+        args_[i] = asTensorValue(frame.regs[instr.args[i]],
+                                 instr.callee.c_str());
     }
     // Instrumented differential mode: for in-place kernel calls, snapshot
     // every argument before the aliased run so a no-aliasing reference
@@ -691,93 +890,195 @@ Executor::execKernelCall(const Instr& instr, Frame& frame)
     bool alias_check = dataMode_ && aliasCheckEnabled() &&
                        instr.attrs.count("inplace_arg");
     std::vector<NDArray> ref_args;
-    if (alias_check) ref_args = copyArgsForReference(args);
+    if (alias_check) ref_args = copyArgsForReference(args_);
+    std::vector<NDArray>* ref = alias_check ? &ref_args : nullptr;
     if (instr.isLibrary) {
-        const LibraryKernel* kernel =
-            LibraryRegistry::global().find(instr.callee);
-        if (!kernel) {
-            RELAX_THROW(RuntimeError)
-                << "library function not linked: " << instr.callee;
-        }
-        RELAX_ICHECK(instr.argShapes.size() == args.size())
-            << instr.callee << ": codegen records one shape per argument";
-        // Inside a bucketed graph region, library kernels are priced at
-        // the padded binding like generated ones: each argument's shape
-        // expressions are re-evaluated with the padded symbol values and
-        // the cost model sees the padded stand-ins. Compute (below) still
-        // runs on the live tensors — padding affects the clock only.
-        const std::vector<NDArray>* priced = &args;
-        std::vector<NDArray> padded;
-        if (!frame.paddedSymbols.empty()) {
-            VarBinding padded_syms = frame.symbols;
-            for (const auto& [v, value] : frame.paddedSymbols) {
-                padded_syms[v] = value;
-            }
-            padded = args;
-            for (size_t i = 0; i < args.size(); ++i) {
-                if (instr.argShapes[i].empty()) continue;
-                std::vector<int64_t> padded_shape;
-                padded_shape.reserve(instr.argShapes[i].size());
-                for (const auto& dim : instr.argShapes[i]) {
-                    padded_shape.push_back(evalInt(dim, padded_syms));
-                }
-                if (padded_shape != args[i].shape()) {
-                    padded[i] = padForPricing(args[i],
-                                              std::move(padded_shape));
-                }
-            }
-            priced = &padded;
-        }
-        device_->launchKernel(
-            kernel->cost(*priced, instr.attrs, device_->spec()),
-            instr.callee.c_str());
-        if (dataMode_) {
-            RELAX_ICHECK(kernel->compute)
-                << instr.callee << " has no data-mode implementation";
-            kernel->compute(args, instr.attrs);
-            if (alias_check) {
-                kernel->compute(ref_args, instr.attrs);
-                diffAliasedRun(instr, args, ref_args);
-            }
-        }
-        return;
+        launchLibrary(instr, frame, ref);
+    } else {
+        launchGenerated(instr, exec->kernelSite(fn, instr), frame, ref);
     }
-    const KernelSite& site = exec->kernelSite(instr);
-    std::vector<int64_t> sym_args;
-    for (const auto& expr : instr.symExprs) {
-        sym_args.push_back(evalInt(expr, frame.symbols));
+}
+
+NDArray
+Executor::standIn(Frame& frame, RegIndex reg, const NDArray& array,
+                  const std::vector<int64_t>& shape)
+{
+    // A metadata stand-in carries only a shape. A data-bearing one is
+    // built once per region in timing mode, where no kernel writes a
+    // tensor.
+    if (dataMode_ || !isHostMetadata(array)) {
+        return padForPricing(array, shape);
     }
-    VarBinding binding = tir::bindShapes(site.func, args, sym_args);
+    auto held = std::find_if(frame.standIns.begin(), frame.standIns.end(),
+                             [&](const auto& e) { return e.first == reg; });
+    if (held != frame.standIns.end() && held->second.shape() == shape) {
+        return held->second;
+    }
+    NDArray built = padForPricing(array, shape);
+    if (held == frame.standIns.end()) {
+        frame.standIns.emplace_back(reg, built);
+    } else {
+        held->second = built;
+    }
+    return built;
+}
+
+void
+Executor::launchLibrary(const Instr& instr, Frame& frame,
+                        std::vector<NDArray>* ref_args)
+{
+    const LibraryKernel* kernel = exec->libraryKernel(instr);
+    if (!kernel) {
+        RELAX_THROW(RuntimeError)
+            << "library function not linked: " << instr.callee;
+    }
+    RELAX_ICHECK(instr.argShapeEnds.size() == args_.size())
+        << instr.callee << ": codegen records one shape per argument";
+    // Inside a bucketed graph region, library kernels are priced at the
+    // padded slots like generated ones: each argument's shape programs
+    // are re-evaluated against the padded table and the cost model sees
+    // the padded stand-ins. Compute (below) still runs on the live
+    // tensors — padding affects the clock only.
+    const std::vector<NDArray>* priced = &args_;
+    if (frame.padding) {
+        pricedArgs_.resize(args_.size());
+        for (size_t i = 0; i < args_.size(); ++i) {
+            pricedArgs_[i] = args_[i];
+            int begin = i == 0 ? 0 : instr.argShapeEnds[i - 1];
+            if (begin == instr.argShapeEnds[i]) continue;
+            shape_.clear();
+            for (int d = begin; d < instr.argShapeEnds[i]; ++d) {
+                shape_.push_back(instr.argShapes[d].eval(frame.padded.data()));
+            }
+            if (shape_ != args_[i].shape()) {
+                pricedArgs_[i] =
+                    standIn(frame, instr.args[i], args_[i], shape_);
+            }
+        }
+        priced = &pricedArgs_;
+    }
+    device_->launchKernel(kernel->cost(*priced, instr.attrs, device_->spec()),
+                          instr.callee.c_str());
+    if (dataMode_) {
+        RELAX_ICHECK(kernel->compute)
+            << instr.callee << " has no data-mode implementation";
+        kernel->compute(args_, instr.attrs);
+        if (ref_args) {
+            kernel->compute(*ref_args, instr.attrs);
+            diffAliasedRun(instr, args_, *ref_args);
+        }
+    }
+}
+
+bool
+Executor::bindKernelSlots(const KernelSite& site)
+{
+    // tir::bindShapes' two rounds over the kernel slots: symbolic
+    // parameters and bare variables bind (or must agree), then every
+    // composite dim must evaluate to the argument's extent.
+    if (args_.size() != site.ranks.size() ||
+        symArgs_.size() != site.symSlots.size()) {
+        return false;
+    }
+    kernelSlots_.assign(site.numSlots, 0);
+    for (size_t i = 0; i < site.symSlots.size(); ++i) {
+        kernelSlots_[site.symSlots[i]] = symArgs_[i];
+    }
+    const KernelSite::Dim* dim = site.dims.data();
+    for (size_t i = 0; i < args_.size(); ++i) {
+        const std::vector<int64_t>& shape = args_[i].shape();
+        if (shape.size() != (size_t)site.ranks[i]) return false;
+        for (int64_t extent : shape) {
+            const KernelSite::Dim& d = *dim++;
+            if (d.slot < 0) continue;
+            if (d.binds) {
+                kernelSlots_[d.slot] = extent;
+            } else if (kernelSlots_[d.slot] != extent) {
+                return false;
+            }
+        }
+    }
+    for (const KernelSite::Check& check : site.checks) {
+        auto extent = check.extent.tryEval(kernelSlots_.data());
+        if (extent != args_[check.param].shape()[check.dim]) return false;
+    }
+    return true;
+}
+
+void
+Executor::launchGenerated(const Instr& instr, KernelSite& site, Frame& frame,
+                          std::vector<NDArray>* ref_args)
+{
+    symArgs_.clear();
+    for (const auto& expr : instr.symArgs) {
+        symArgs_.push_back(expr.eval(frame.slots.data()));
+    }
+    if (!bindKernelSlots(site)) {
+        tir::bindShapes(site.func, args_, symArgs_); // throws its error
+        RELAX_ICHECK(false) << site.func->name
+                            << ": kernel slots disagree with bindShapes";
+    }
     // Inside a bucketed graph region the captured graph's kernels are
     // launched at the bucket-ceiling shapes (padded, with masking), so
-    // cost is priced at the padded binding. TIR kernels share their
-    // symbolic VarNodes with the graph level, which makes the override a
-    // direct key lookup. Data-mode compute below still uses the real
-    // shapes — padding affects the clock, never the values.
-    const VarBinding* priced = &binding;
-    VarBinding padded_binding;
-    if (!frame.paddedSymbols.empty()) {
-        padded_binding = binding;
-        for (auto& [v, value] : padded_binding) {
-            auto padded = frame.paddedSymbols.find(v);
-            if (padded != frame.paddedSymbols.end()) {
-                value = padded->second;
+    // cost is priced at the padded slots. TIR kernels share their
+    // symbolic VarNodes with the graph level, which is how a kernel slot
+    // finds its function slot. Data-mode compute below still uses the
+    // real shapes — padding affects the clock, never the values.
+    const int64_t* priced = kernelSlots_.data();
+    if (frame.padding) {
+        pricedSlots_ = kernelSlots_;
+        for (size_t k = 0; k < pricedSlots_.size(); ++k) {
+            int f = site.functionSlots[k];
+            if (f >= 0 && frame.padOverride[f]) {
+                pricedSlots_[k] = frame.padded[f];
             }
         }
-        priced = &padded_binding;
+        priced = pricedSlots_.data();
     }
+    // Re-price only when a slot the cost reads moved since the site was
+    // last priced: steps replaying one bucket hit.
+    bool hit = site.priced;
+    for (size_t j = 0; hit && j < site.costSlots.size(); ++j) {
+        hit = site.pricedAt[j] == priced[site.costSlots[j]];
+    }
+    if (!hit) {
+        std::optional<int64_t> flops = site.flops.tryEval(priced);
+        std::optional<int64_t> bytes = site.bytes.tryEval(priced);
+        if (!flops || !bytes) {
+            tir::TensorProgramCost cost = tir::analyzeCost(site.func);
+            throwUnevaluable(!flops ? cost.flops : cost.bytes);
+        }
+        PricedKernel price;
+        price.flops = (double)*flops;
+        price.bytes = (double)*bytes;
+        // Fused kernels lose their single-op classification; detect a
+        // matmul core by arithmetic intensity instead.
+        price.fma = site.kind == tir::PatternKind::kOutputEwiseFusible ||
+                    (price.bytes > 0 && price.flops / price.bytes > 16.0);
+        if (price.fma) {
+            int64_t rows = 1;
+            for (const auto& dim : site.outRows) rows *= dim.eval(priced);
+            price.gemv = rows <= 1;
+        }
+        site.price = price;
+        site.pricedAt.clear();
+        for (int k : site.costSlots) site.pricedAt.push_back(priced[k]);
+        site.priced = true;
+    }
+    const device::DeviceSpec& spec = device_->spec();
     device::KernelCost kernel_cost;
-    kernel_cost.flops = (double)evalInt(site.flops, *priced);
-    kernel_cost.bytes = (double)evalInt(site.bytes, *priced);
-    kernel_cost.efficiency = generatedKernelEfficiency(
-        site, kernel_cost.flops, kernel_cost.bytes, *priced,
-        device_->spec());
+    kernel_cost.flops = site.price.flops;
+    kernel_cost.bytes = site.price.bytes;
+    // Matrix-vector (single output row) uses the tuned gemv schedule.
+    kernel_cost.efficiency = !site.price.fma ? spec.genElemwiseEfficiency
+                             : site.price.gemv ? spec.genGemvEfficiency
+                                               : spec.genGemmEfficiency;
     device_->launchKernel(kernel_cost, instr.callee.c_str());
     if (dataMode_) {
-        tir::run(site.func, args, sym_args);
-        if (alias_check) {
-            tir::run(site.func, ref_args, sym_args);
-            diffAliasedRun(instr, args, ref_args);
+        tir::run(site.func, args_, symArgs_);
+        if (ref_args) {
+            tir::run(site.func, *ref_args, symArgs_);
+            diffAliasedRun(instr, args_, *ref_args);
         }
     }
 }

@@ -9,6 +9,9 @@
  *  - timing mode: tensors are metadata-only and only shapes, memory
  *    accounting and the device's virtual clock advance — how the
  *    benchmark harness executes paper-scale models.
+ * Symbolic shapes live in a per-call slot table that instructions read
+ * through flat programs (exec.h), and each generated-kernel call site
+ * re-prices only when the padded slot values its cost reads change.
  */
 #ifndef RELAX_VM_VM_H_
 #define RELAX_VM_VM_H_

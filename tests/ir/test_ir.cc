@@ -119,6 +119,15 @@ TEST(ModuleTest, AddLookupAndUniqueNames)
     EXPECT_EQ(module->getFunction("missing"), nullptr);
     EXPECT_EQ(module->uniqueName("main"), "main_1");
     EXPECT_EQ(module->uniqueName("fresh"), "fresh");
+    // Each name is the first free suffix, and a freed name is issued
+    // again.
+    module->addFunction(module->uniqueName("main"), func);
+    module->addFunction(module->uniqueName("main"), func);
+    EXPECT_EQ(module->uniqueName("main"), "main_3");
+    module->removeFunction("main_1");
+    EXPECT_EQ(module->uniqueName("main"), "main_1");
+    module->removeFunction("main");
+    EXPECT_EQ(module->uniqueName("main"), "main");
     EXPECT_EQ(module->getGlobalVar("main").get(),
               module->getGlobalVar("main").get());
 }
