@@ -67,11 +67,15 @@ sys.exit(0 if eval(sys.argv[1]) else 1)' "$@"
 # synthetic acceptance rates; the binary gates the per-rate invariants
 # (one target call per step, pool within budget, token counts
 # unchanged) and fails unless tokens/s uplift at 0.95 acceptance
-# exceeds 1.0x. Here we pin that merely carrying the speculation
+# exceeds 1.0x. Its traced repeat of the 0.95 run gates, inside the
+# binary, that tracing leaves that run's outcome unchanged, that the
+# trace is well nested and that it holds the draft's decode_ragged calls
+# beside the target's. Here we pin that merely carrying the speculation
 # machinery does not perturb the non-speculative path: the run's
 # "policies" results must equal the plain run's.
 echo "== bench smoke: serve throughput (speculative, k=4)"
-./bench_serve_throughput --spec-k=4 --bench-json=bench_spec.json |
+./bench_serve_throughput --spec-k=4 --bench-json=bench_spec.json \
+  --trace-out=trace_spec.json --metrics-out=metrics_spec.json |
   sed -n '/^speculative decoding/,$p'
 if ! json_holds 'j[0]["policies"] == j[1]["policies"]' \
     BENCH_serve.json bench_spec.json; then
@@ -137,7 +141,7 @@ done
 echo "determinism tripwire passed (trace/metrics/bench JSON byte-identical)"
 
 for f in trace_a.json metrics_a.json bench_a.json bench_spec.json \
-         bench_tp4.json bench_router.json; do
+         trace_spec.json metrics_spec.json bench_tp4.json bench_router.json; do
   if ! python3 -m json.tool "$f" > /dev/null; then
     echo "FAIL: $f is not valid JSON" >&2
     exit 1

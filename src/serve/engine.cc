@@ -189,10 +189,11 @@ Engine::build(const frontend::LlamaConfig& config,
     auto group = std::make_shared<device::DeviceGroup>(
         copts.device, (int)options.tensorParallel,
         device::interconnectByName(options.interconnect));
-    // One module per model: its weights are read before compiling it.
+    // One module per model: its weights are read off it, then compiling
+    // consumes it, so the passes free each function they replace.
     ir::IRModulePtr module = frontend::buildLlama(config);
     auto weights = frontend::makeLlamaWeights(module, config, data_mode);
-    auto exec = frontend::compile(module, copts);
+    auto exec = frontend::compile(std::move(module), copts);
     auto engine = std::make_unique<Engine>(std::move(exec), std::move(group),
                                            data_mode, config,
                                            std::move(weights), options);
@@ -209,8 +210,9 @@ Engine::build(const frontend::LlamaConfig& config,
         ir::IRModulePtr draft = frontend::buildLlama(dconfig);
         auto dweights = frontend::makeLlamaWeights(
             draft, dconfig, data_mode, options.speculation.draftWeightSeed);
-        engine->enableSpeculation(frontend::compile(draft, draft_copts),
-                                  std::move(dweights));
+        engine->enableSpeculation(
+            frontend::compile(std::move(draft), draft_copts),
+            std::move(dweights));
     }
     return engine;
 }

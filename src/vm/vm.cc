@@ -270,19 +270,8 @@ padForPricing(const NDArray& array, std::vector<int64_t> padded_shape)
     for (size_t d = 0; fits && d < shape.size(); ++d) {
         fits = shape[d] <= padded_shape[d];
     }
-    if (!fits) {
-        // Rank 0, or a dim the padding shrank: element by element, so an
-        // element past the padded shape fails flatten's bounds check.
-        std::vector<int64_t> index(shape.size(), 0);
-        for (int64_t flat = 0; flat < array.numel(); ++flat) {
-            padded.set(padded.flatten(index), array.at(flat));
-            for (size_t d = shape.size(); d-- > 0;) {
-                if (++index[d] < shape[d]) break;
-                index[d] = 0;
-            }
-        }
-        return padded;
-    }
+    RELAX_ICHECK(fits || array.numel() == 0)
+        << "pricing stand-in: the padded shape does not hold the tensor";
     // Row by row: each innermost row lands at its padded offset.
     int64_t row = shape.back();
     if (row == 0) return padded;
@@ -379,14 +368,6 @@ Executable::kernelSite(const VMFunction& func, const Instr& instr) const
     std::sort(key.begin(), key.end());
     key.erase(std::unique(key.begin(), key.end()), key.end());
     return site;
-}
-
-const LibraryKernel*
-Executable::libraryKernel(const Instr& instr) const
-{
-    const LibraryKernel*& kernel = libraries_[&instr];
-    if (!kernel) kernel = LibraryRegistry::global().find(instr.callee);
-    return kernel;
 }
 
 struct Executor
@@ -927,7 +908,8 @@ void
 Executor::launchLibrary(const Instr& instr, Frame& frame,
                         std::vector<NDArray>* ref_args)
 {
-    const LibraryKernel* kernel = exec->libraryKernel(instr);
+    const LibraryKernel* kernel =
+        LibraryRegistry::global().find(instr.callee);
     if (!kernel) {
         RELAX_THROW(RuntimeError)
             << "library function not linked: " << instr.callee;
