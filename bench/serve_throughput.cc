@@ -16,7 +16,7 @@
  *
  * A second scenario measures automatic prefix caching: N requests
  * repeating one already-served 120-token system prompt must be
- * detected by the KV manager's block-hash index with no fork hint,
+ * detected by the KV manager's prefix index with no fork hint,
  * reusing the parent's pool pages for every full prompt block and
  * prefilling only their tails.
  *
@@ -74,9 +74,10 @@ struct TraceResult
     serve::EngineStats stats;
     int64_t kvBudget = 0;
     double makespanUs = 0.0;
+    /** TTFT and inter-token-latency percentiles from the engine's
+     *  registry. */
     double p50TtftUs = 0.0;
     double p99TtftUs = 0.0;
-    /** Inter-token-latency percentiles from the engine's registry. */
     double p50ItlUs = 0.0;
     double p99ItlUs = 0.0;
     int64_t peakPages = 0;
@@ -174,15 +175,6 @@ makeTrace(int num_requests, int64_t max_new_tokens, double requests_per_sec,
         trace.push_back(std::move(arrival));
     }
     return trace;
-}
-
-double
-percentile(std::vector<double> values, double p)
-{
-    if (values.empty()) return 0.0;
-    std::sort(values.begin(), values.end());
-    size_t idx = (size_t)((double)(values.size() - 1) * p + 0.5);
-    return values[idx];
 }
 
 frontend::CompileOptions
@@ -300,17 +292,14 @@ runTrace(const frontend::LlamaConfig& config,
     int64_t replays = result.stats.decodeGraphReplays - warm_replays;
     result.warmHitRate =
         begins > 0 ? (double)replays / (double)begins : 0.0;
-    std::vector<double> ttfts;
-    for (const auto& done : engine->collect()) {
-        ttfts.push_back(done.stats.ttftUs());
-    }
-    result.p50TtftUs = percentile(ttfts, 0.50);
-    result.p99TtftUs = percentile(ttfts, 0.99);
-    // Inter-token latency comes from the always-on registry (same
-    // nearest-rank convention as percentile() above).
+    // Latencies come from the always-on registry, nearest-rank
+    // percentiles over every request (0 when none was recorded).
+    const Histogram& ttft = engine->metrics().histogram("serve.ttft_us");
+    result.p50TtftUs = ttft.percentile(0.50);
+    result.p99TtftUs = ttft.percentile(0.99);
     const Histogram& itl = engine->metrics().histogram("serve.itl_us");
-    result.p50ItlUs = itl.count() > 0 ? itl.percentile(0.50) : 0.0;
-    result.p99ItlUs = itl.count() > 0 ? itl.percentile(0.99) : 0.0;
+    result.p50ItlUs = itl.percentile(0.50);
+    result.p99ItlUs = itl.percentile(0.99);
     result.peakPages = engine->kv().peakPages();
     result.peakKvBytes = engine->kv().peakBytes();
     result.planStorages =
@@ -360,7 +349,7 @@ struct SharingResult
  * prefills a 120-token system prompt; N followers with distinct 8-token
  * tails then arrive WITHOUT any fork hint. In the shared variant their
  * prompts repeat the parent's prefix verbatim and the KV manager's
- * block-hash index must detect it at admission; the baseline gives each
+ * prefix index must detect it at admission; the baseline gives each
  * follower a distinct prefix of the same length, so nothing can match
  * and every token prefills from scratch.
  */

@@ -7,13 +7,14 @@
  * decode tokens alike) into ONE pool-addressed varlen call, the third
  * request repeats the first one's system prompt and automatic prefix
  * caching maps its page-aligned prefix blocks onto the parent's pool
- * pages (no fork hint: the hash index detects the duplication and
- * verifies token content before sharing), and per-request latency
- * stats come off the simulated device's virtual clock. The run is
- * traced: the device's TraceRecorder is enabled up front and the whole
- * timeline — kernel spans, VM frames, step spans, request lifecycles —
- * is dumped as Chrome trace-event JSON (open llm_serving_trace.json in
- * Perfetto), and tail latency comes from the engine's MetricsRegistry.
+ * pages (no fork hint: the prefix index, keyed by each block's
+ * predecessor page and tokens, detects the duplication), and
+ * per-request latency stats come off the simulated device's virtual
+ * clock. The run is traced: the device's TraceRecorder is enabled up
+ * front and the whole timeline — kernel spans, VM frames, step spans,
+ * request lifecycles — is dumped as Chrome trace-event JSON (open
+ * llm_serving_trace.json in Perfetto), and tail latency comes from the
+ * engine's MetricsRegistry.
  */
 #include <fstream>
 #include <iostream>
@@ -49,10 +50,10 @@ main()
     engine->step(); // prefill both; the first prompt's blocks get indexed
 
     // A third request repeats the system prompt verbatim. No hint is
-    // passed: at admission the KV manager hashes the prompt's
-    // page-aligned blocks, finds the first request's pages in its index,
-    // verifies the token content, and shares them — only the tail past
-    // the last full block is prefilled.
+    // passed: at admission the KV manager looks up the prompt's
+    // page-aligned blocks, each under the page matched for the block
+    // before it, finds the first request's pages in its index and shares
+    // them — only the tail past the last full block is prefilled.
     std::vector<int64_t> repeat_prompt = system_prompt;
     repeat_prompt.push_back(9);
     repeat_prompt.push_back(2);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Engine implementation: the continuous-batching step loop — admission
- * (with automatic prefix matching against the KV manager's block-hash
+ * (with automatic prefix matching against the KV manager's prefix
  * index), then ONE packed-varlen page-pool call per step in which newly
  * admitted rows prefill their fresh prompt tails and running rows decode
  * one token each, with copy-on-write and eviction under memory pressure —
@@ -194,57 +194,43 @@ Engine::build(const frontend::LlamaConfig& config,
     ir::IRModulePtr module = frontend::buildLlama(config);
     auto weights = frontend::makeLlamaWeights(module, config, data_mode);
     auto exec = frontend::compile(std::move(module), copts);
-    auto engine = std::make_unique<Engine>(std::move(exec), std::move(group),
-                                           data_mode, config,
-                                           std::move(weights), options);
-    if (options.speculation.draftTokens > 0) {
-        // The draft compiles under the same options (device, bounds,
-        // bucket): its verify-free n=1 decode reuses the exact symbolic
-        // machinery, just over a smaller config. It is never sharded —
-        // it runs on the group's device 0 alone, and any clock skew
-        // merges at the target's next collective barrier.
-        const frontend::LlamaConfig& dconfig =
-            options.speculation.draftConfig;
-        frontend::CompileOptions draft_copts = copts;
-        draft_copts.tensorParallel = 1;
-        ir::IRModulePtr draft = frontend::buildLlama(dconfig);
-        auto dweights = frontend::makeLlamaWeights(
-            draft, dconfig, data_mode, options.speculation.draftWeightSeed);
-        engine->enableSpeculation(
-            frontend::compile(std::move(draft), draft_copts),
-            std::move(dweights));
-    }
-    return engine;
-}
+    std::unique_ptr<Engine> engine(new Engine(std::move(exec),
+                                              std::move(group), data_mode,
+                                              config, std::move(weights),
+                                              options));
+    const SpeculationOptions& spec = options.speculation;
+    if (spec.draftTokens <= 0) return engine;
 
-void
-Engine::enableSpeculation(vm::ExecutablePtr draft_exec,
-                          std::vector<NDArray> draft_weights)
-{
-    const SpeculationOptions& spec = options_.speculation;
-    RELAX_ICHECK(spec.draftTokens > 0)
-        << "enableSpeculation: options.speculation.draftTokens must be "
-           "positive at engine construction (the KV budget accounts for "
-           "the draft footprint there)";
-    RELAX_ICHECK(!speculationEnabled()) << "draft model already attached";
-    RELAX_ICHECK(spec.draftConfig.vocabSize == config_.vocabSize)
+    RELAX_ICHECK(spec.draftConfig.vocabSize == config.vocabSize)
         << "draft vocabulary (" << spec.draftConfig.vocabSize
-        << ") must match the target's (" << config_.vocabSize
+        << ") must match the target's (" << config.vocabSize
         << "): token ids cross between the two models";
-    RELAX_ICHECK(spec.draftConfig.maxContext >= config_.maxContext)
+    RELAX_ICHECK(spec.draftConfig.maxContext >= config.maxContext)
         << "draft context window (" << spec.draftConfig.maxContext
-        << ") must cover the target's (" << config_.maxContext << ")";
-    bool data_mode = machine().dataMode();
-    Model& draft = models_.emplace_back(nullptr, options_.sampler);
+        << ") must cover the target's (" << config.maxContext << ")";
+    // The draft compiles under the same options (device, bounds,
+    // bucket): its verify-free n=1 decode reuses the exact symbolic
+    // machinery, just over a smaller config. It is never sharded — it
+    // runs on the group's device 0 alone, and any clock skew merges at
+    // the target's next collective barrier.
+    frontend::CompileOptions draft_copts = copts;
+    draft_copts.tensorParallel = 1;
+    ir::IRModulePtr draft_module = frontend::buildLlama(spec.draftConfig);
+    auto draft_weights = frontend::makeLlamaWeights(
+        draft_module, spec.draftConfig, data_mode, spec.draftWeightSeed);
+    Model& draft = engine->models_.emplace_back(nullptr, options.sampler);
     draft.ranks.push_back(std::make_unique<vm::VirtualMachine>(
-        std::move(draft_exec), group_->devicePtr(0), data_mode));
+        frontend::compile(std::move(draft_module), draft_copts),
+        engine->group_->devicePtr(0), data_mode));
     draft.weights.push_back(std::move(draft_weights));
     draft.kv = std::make_unique<KVCacheManager>(
-        spec.draftConfig, draft.rankVms(), draftPoolBytes(spec, options_),
-        options_.kvBlockTokens);
-    meters_.specAccepted = &metrics_.histogram("serve.spec_accepted");
-    meters_.specAcceptanceRate =
-        &metrics_.gauge("serve.spec_acceptance_rate");
+        spec.draftConfig, draft.rankVms(), draftPoolBytes(spec, options),
+        options.kvBlockTokens);
+    engine->meters_.specAccepted =
+        &engine->metrics_.histogram("serve.spec_accepted");
+    engine->meters_.specAcceptanceRate =
+        &engine->metrics_.gauge("serve.spec_acceptance_rate");
+    return engine;
 }
 
 RequestId

@@ -20,9 +20,9 @@
  * engine never copies cache bytes on the host: a copied pool would lose
  * the call's writes, and the data-mode token oracles would diverge from
  * sequential runs. Prompt prefixes dedupe automatically: the
- * KV manager indexes committed page-aligned blocks by chained content
- * hash, and admission maps a new request onto any indexed pages whose
- * verified content matches its prompt (KVCacheManager::matchPrefix) —
+ * KV manager indexes committed page-aligned blocks by their predecessor
+ * page and their tokens, and admission maps a new request onto the chain
+ * of indexed pages its prompt leads to (KVCacheManager::matchPrefix) —
  * no hint from the caller; refcounts + copy-on-write keep writers
  * private.
  *
@@ -45,10 +45,10 @@
  * tensor parallelism 1, N ShardPass'd ranks joined by priced collectives
  * at N (DESIGN.md §10).
  *
- * enableSpeculation() attaches the draft (a second LlamaConfig with its
- * own weights, one VM on the target's device 0 and its own KV pool; each
- * VM owns the graphs it captured, so the two models never cross-replay
- * captures).
+ * With speculation configured, build() attaches the draft (a second
+ * LlamaConfig with its own weights, one VM on the target's device 0 and
+ * its own KV pool; each VM owns the graphs it captured, so the two
+ * models never cross-replay captures).
  * Decoding rows then run propose/verify/accept per step: the draft
  * proposes k tokens, the target verifies pending+drafts as one packed
  * n=k+1 row inside the SAME step call (the prefill-chunk shape —
@@ -99,8 +99,7 @@ struct SpeculationOptions
     /**
      * The draft model. Must share the target's vocabulary (token ids
      * cross between the two models) and cover its context window.
-     * Engine::build compiles it; direct-constructor callers compile it
-     * themselves and hand the executable to enableSpeculation().
+     * Engine::build compiles it.
      */
     frontend::LlamaConfig draftConfig;
     /** Weight seed for the draft model in Engine::build. */
@@ -201,55 +200,27 @@ class Engine
 {
   public:
     /**
-     * @param exec      compiled executable with the pool-addressed
-     *                  `decode_ragged`; a ShardPass build for
-     *                  group->size() shards when the group has more than
-     *                  one device
-     * @param group     the devices the target model runs on, one rank VM
-     *                  each; a one-device group is the single-device
-     *                  engine. Device 0 carries the engine's clock and
-     *                  trace and also runs the draft model.
-     * @param data_mode true: real tensors + logits sampling; false:
-     *                  metadata-only timing mode
-     * @param config    model config (cache geometry, vocab)
-     * @param weights   FULL-model parameter tensors in
-     *                  makeLlamaWeights order (data or metadata matching
-     *                  `data_mode`); the engine slices them to the
-     *                  weight shapes of the compiled `decode_ragged`
-     */
-    Engine(vm::ExecutablePtr exec, std::shared_ptr<device::DeviceGroup> group,
-           bool data_mode, frontend::LlamaConfig config,
-           std::vector<NDArray> weights, EngineOptions options = {});
-
-    /**
-     * Compiles `config`'s `decode_ragged` for `options.device` and builds
-     * a ready engine. When `compile_options.graphBucketTokens` is 0
-     * (auto), the capture bucket is set to `options.kvBlockTokens` so
-     * execution-graph buckets and KV pages share one boundary. When
-     * `options.speculation.draftTokens` > 0 the draft model is compiled
-     * the same way and attached via enableSpeculation().
+     * The one way to make an engine: compiles `config`'s `decode_ragged`
+     * for `compile_options.device`, joins `options.tensorParallel`
+     * copies of the device by `options.interconnect`, makes the weights
+     * and builds the engine over them. When
+     * `compile_options.graphBucketTokens` is 0 (auto), the capture
+     * bucket is set to `options.kvBlockTokens` so execution-graph
+     * buckets and KV pages share one boundary.
+     *
+     * When `options.speculation.draftTokens` > 0 the draft model is
+     * compiled the same way (never sharded) with weights from
+     * `draftWeightSeed`, and attached: its VM runs on the group's device
+     * 0 — one virtual clock, one VRAM pool with the target — and
+     * replays only graphs it captured itself. Its KV pool is sized to
+     * the full addressable envelope so draft reservations never evict.
      */
     static std::unique_ptr<Engine>
     build(const frontend::LlamaConfig& config,
           const frontend::CompileOptions& compile_options, bool data_mode,
           EngineOptions options = {});
 
-    /**
-     * Attaches the draft model for speculative decoding:
-     * `options.speculation` must have been configured (draftTokens > 0,
-     * draftConfig set) at construction so the KV budget accounted for the
-     * draft's footprint. The draft VM runs on the group's device 0 — one
-     * virtual clock, one VRAM pool with the target — and replays only
-     * graphs it captured itself. Its KV pool is sized to the full
-     * addressable envelope so draft reservations never evict.
-     * Engine::build calls this automatically; direct-constructor callers
-     * (tests, fuzz harnesses) pass their own compiled draft executable
-     * and weights.
-     */
-    void enableSpeculation(vm::ExecutablePtr draft_exec,
-                           std::vector<NDArray> draft_weights);
-
-    /** True once a draft model is attached and draftTokens > 0. */
+    /** True when build() attached a draft model (draftTokens > 0). */
     bool speculationEnabled() const { return models_.size() > 1; }
 
     /**
@@ -262,8 +233,8 @@ class Engine
      *
      * Prompt-prefix sharing needs no hint here: at admission the KV
      * manager matches the prompt against its index of committed
-     * page-aligned blocks (content-verified chained hashes) and maps any
-     * hit onto the existing pool pages, so only the unmatched tail is
+     * page-aligned blocks (keyed by predecessor page and tokens) and
+     * maps any hit onto the existing pool pages, so only the unmatched tail is
      * prefilled. Copy-on-write keeps every token stream exact, and a
      * request whose twin has already released its pages simply prefills
      * in full.
@@ -322,7 +293,7 @@ class Engine
 
     /** The target model's KV pool. */
     KVCacheManager& kv() { return *models_.front().kv; }
-    /** The draft model's KV pool (null until enableSpeculation()). */
+    /** The draft model's KV pool (null without speculation). */
     KVCacheManager*
     draftKv()
     {
@@ -337,6 +308,29 @@ class Engine
     int tensorParallel() const { return group_->size(); }
 
   private:
+    /**
+     * Builds the target model over `exec`; build() attaches the draft.
+     *
+     * @param exec      compiled executable with the pool-addressed
+     *                  `decode_ragged`; a ShardPass build for
+     *                  group->size() shards when the group has more than
+     *                  one device
+     * @param group     the devices the target model runs on, one rank VM
+     *                  each; a one-device group is the single-device
+     *                  engine. Device 0 carries the engine's clock and
+     *                  trace and also runs the draft model.
+     * @param data_mode true: real tensors + logits sampling; false:
+     *                  metadata-only timing mode
+     * @param config    model config (cache geometry, vocab)
+     * @param weights   FULL-model parameter tensors in
+     *                  makeLlamaWeights order (data or metadata matching
+     *                  `data_mode`); the engine slices them to the
+     *                  weight shapes of the compiled `decode_ragged`
+     */
+    Engine(vm::ExecutablePtr exec, std::shared_ptr<device::DeviceGroup> group,
+           bool data_mode, frontend::LlamaConfig config,
+           std::vector<NDArray> weights, EngineOptions options);
+
     /**
      * One served model: its rank VMs (one per device it spans, all
      * running one executable), each rank's weights, its KV page pool and
@@ -409,15 +403,15 @@ class Engine
     frontend::LlamaConfig config_;
     EngineOptions options_;
     std::shared_ptr<device::DeviceGroup> group_;
-    /** [0] the target; [1] the draft once enableSpeculation() ran. */
+    /** [0] the target; [1] the draft when build() attached one. */
     std::vector<Model> models_;
     Scheduler scheduler_;
     std::vector<SequenceStatePtr> running_;
     std::vector<SequenceStatePtr> finished_;
     EngineStats stats_;
     MetricsRegistry metrics_;
-    /** Registry handles, resolved once (speculation's in
-     *  enableSpeculation(): resolving creates the snapshot entry). */
+    /** Registry handles, resolved once (speculation's only when build()
+     *  attaches a draft: resolving creates the snapshot entry). */
     struct Meters
     {
         Histogram* ttftUs = nullptr;

@@ -2,7 +2,7 @@
  * @file
  * KVCacheManager implementation: the resident page pool, the free-list /
  * refcount page lifecycle (reserve, copy-on-write, release), the
- * chained-hash prefix-caching index (matchPrefix / registerCommitted),
+ * prefix-caching index (matchPrefix / registerCommitted),
  * and the lengths/block-table views the ragged kernels consume (see
  * kv_cache.h).
  */
@@ -50,6 +50,7 @@ KVCacheManager::KVCacheManager(const frontend::LlamaConfig& config,
         }
     }
     refCounts_.assign((size_t)totalBlocks_, 0);
+    pageEntries_.assign((size_t)totalBlocks_, index_.end());
     // LIFO stack ordered so the first acquisitions hand out pages 0, 1,
     // 2, ... (deterministic tables in tests and traces).
     freePages_.reserve((size_t)totalBlocks_);
@@ -225,9 +226,7 @@ KVCacheManager::truncate(RequestId seq, int64_t tokens)
             unregisterPage(state.pages[idx]);
         }
     }
-    if ((int64_t)state.blockHashes.size() > full_blocks) {
-        state.blockHashes.resize((size_t)full_blocks);
-    }
+    state.registeredBlocks = std::min(state.registeredBlocks, full_blocks);
     state.committed = new_committed;
     state.tokens = std::min(state.tokens, keep * blockTokens_);
     ++truncates_;
@@ -275,57 +274,13 @@ KVCacheManager::dropMatch(RequestId child)
     release(child);
 }
 
-namespace {
-
-/** Default chained block hash: FNV-1a folded over the previous block's
- *  hash and the block's token values. */
-uint64_t
-fnvBlockHash(uint64_t prev, const int64_t* tokens, int64_t count)
-{
-    uint64_t h = 1469598103934665603ull; // FNV offset basis
-    auto mix = [&h](uint64_t value) {
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= (value >> (8 * byte)) & 0xffu;
-            h *= 1099511628211ull; // FNV prime
-        }
-    };
-    mix(prev);
-    for (int64_t i = 0; i < count; ++i) mix((uint64_t)tokens[i]);
-    return h;
-}
-
-} // namespace
-
-uint64_t
-KVCacheManager::hashBlock(uint64_t prev, const int64_t* tokens,
-                          int64_t count) const
-{
-    return hashOverride_ ? hashOverride_(prev, tokens, count)
-                         : fnvBlockHash(prev, tokens, count);
-}
-
-void
-KVCacheManager::setBlockHashForTest(BlockHashFn fn)
-{
-    hashOverride_ = std::move(fn);
-}
-
 void
 KVCacheManager::unregisterPage(int64_t page)
 {
-    auto ph = pageHash_.find(page);
-    if (ph == pageHash_.end()) return;
-    auto idx = hashIndex_.find(ph->second);
-    if (idx != hashIndex_.end()) {
-        auto& entries = idx->second;
-        entries.erase(std::remove_if(entries.begin(), entries.end(),
-                                     [page](const IndexEntry& entry) {
-                                         return entry.page == page;
-                                     }),
-                      entries.end());
-        if (entries.empty()) hashIndex_.erase(idx);
-    }
-    pageHash_.erase(ph);
+    auto& entry = pageEntries_[page];
+    if (entry == index_.end()) return;
+    index_.erase(entry);
+    entry = index_.end();
 }
 
 int64_t
@@ -340,38 +295,19 @@ KVCacheManager::matchPrefix(RequestId child,
     int64_t max_blocks = ((int64_t)tokens.size() - 1) / blockTokens_;
     if (max_blocks <= 0) return 0;
 
+    // Induction on the predecessor page: block k's tokens plus the page
+    // matched for block k-1 pin the whole prefix behind the page, which
+    // the K/V values depend on. lower_bound() lands on the earliest
+    // registered page under an equal key.
     std::vector<int64_t> pages;
-    std::vector<uint64_t> hashes;
-    uint64_t prev_hash = 0;
-    int64_t prev_page = -1;
+    BlockKey key{-1, {}};
     for (int64_t blk = 0; blk < max_blocks; ++blk) {
         const int64_t* block = tokens.data() + blk * blockTokens_;
-        uint64_t h = hashBlock(prev_hash, block, blockTokens_);
-        auto it = hashIndex_.find(h);
-        const IndexEntry* hit = nullptr;
-        if (it != hashIndex_.end()) {
-            for (const IndexEntry& entry : it->second) {
-                // The hash only proposes; the stored token content and
-                // the chain linkage decide. A colliding entry fails one
-                // of these checks and degrades to no-share — never to a
-                // wrong share. Induction on prevPage: matching block k
-                // content plus the block-(k-1) page guarantees the whole
-                // prefix behind the page is identical, which the K/V
-                // values depend on.
-                if (entry.prevPage == prev_page &&
-                    (int64_t)entry.tokens.size() == blockTokens_ &&
-                    std::equal(entry.tokens.begin(), entry.tokens.end(),
-                               block)) {
-                    hit = &entry;
-                    break;
-                }
-            }
-        }
-        if (hit == nullptr) break;
-        pages.push_back(hit->page);
-        hashes.push_back(h);
-        prev_hash = h;
-        prev_page = hit->page;
+        key.second.assign(block, block + blockTokens_);
+        auto it = index_.lower_bound(key);
+        if (it == index_.end() || it->first != key) break;
+        pages.push_back(it->second);
+        key.first = it->second;
     }
     if (pages.empty()) return 0;
 
@@ -380,7 +316,7 @@ KVCacheManager::matchPrefix(RequestId child,
     for (int64_t page : state.pages) ++refCounts_[page];
     state.tokens = (int64_t)state.pages.size() * blockTokens_;
     state.committed = state.tokens;
-    state.blockHashes = std::move(hashes);
+    state.registeredBlocks = (int64_t)state.pages.size();
     state.matched = state.tokens;
     ++prefixHits_;
     prefixTokensMatched_ += state.tokens;
@@ -404,24 +340,19 @@ KVCacheManager::registerCommitted(RequestId seq,
     Sequence& state = it->second;
     int64_t limit = std::min(state.committed, (int64_t)tokens.size());
     int64_t full_blocks = limit / blockTokens_;
-    uint64_t prev_hash =
-        state.blockHashes.empty() ? 0 : state.blockHashes.back();
-    // The chain always advances (even over pages another sequence
-    // already indexed) so later blocks hash against the right prefix.
-    for (int64_t blk = (int64_t)state.blockHashes.size();
-         blk < full_blocks; ++blk) {
-        const int64_t* block = tokens.data() + blk * blockTokens_;
-        uint64_t h = hashBlock(prev_hash, block, blockTokens_);
-        state.blockHashes.push_back(h);
-        prev_hash = h;
+    // A page another sequence already indexed (e.g. one matchPrefix()
+    // mapped) keeps its entry. emplace() files a new page after every
+    // page under an equal key, preserving registration order.
+    for (int64_t blk = state.registeredBlocks; blk < full_blocks; ++blk) {
         int64_t page = state.pages[blk];
-        if (pageHash_.find(page) != pageHash_.end()) continue;
-        int64_t prev_page = blk == 0 ? -1 : state.pages[blk - 1];
-        hashIndex_[h].push_back(IndexEntry{
-            page, prev_page,
-            std::vector<int64_t>(block, block + blockTokens_)});
-        pageHash_[page] = h;
+        if (pageEntries_[page] != index_.end()) continue;
+        const int64_t* block = tokens.data() + blk * blockTokens_;
+        pageEntries_[page] = index_.emplace(
+            BlockKey{blk == 0 ? -1 : state.pages[blk - 1],
+                     std::vector<int64_t>(block, block + blockTokens_)},
+            page);
     }
+    state.registeredBlocks = std::max(state.registeredBlocks, full_blocks);
 }
 
 int64_t

@@ -10,13 +10,12 @@
  * and per-page reference counts:
  *
  *  - reserve/release move pages between sequences and the free list;
- *  - automatic prefix caching: registerCommitted() records each full
- *    page-aligned block of a sequence's committed prompt in a
- *    hash→page index under a chained content hash, and matchPrefix()
- *    maps a new sequence onto every indexed page whose token content
- *    (verified byte-for-byte, never trusted from the hash alone)
- *    extends its matched chain (refcount++, zero copies) — shared
- *    system prompts are served once;
+ *  - automatic prefix caching: registerCommitted() files each full
+ *    page-aligned block of a sequence's committed prompt in an index
+ *    keyed by the block's predecessor page and its tokens, and
+ *    matchPrefix() maps a new sequence onto the chain of pages those
+ *    keys lead to (refcount++, zero copies) — shared system prompts
+ *    are served once;
  *  - reserve() enforces copy-on-write: before a sequence writes a page
  *    whose refcount exceeds one, the page is copied to a fresh one on
  *    the device (priced on the simulated clock) and the writer's table
@@ -37,8 +36,8 @@
 #define RELAX_SERVE_KV_CACHE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "frontend/llama.h"
@@ -159,13 +158,11 @@ class KVCacheManager
 
     /**
      * Automatic prefix caching — the detection half: walks `tokens`
-     * (the child's pending prefill stream) in page-aligned blocks,
-     * computing the chained block hash, and maps `child` (which must
-     * hold no pages) onto every consecutive indexed pool page whose
-     * stored token content verifies byte-for-byte against the block AND
-     * whose predecessor page is the one matched for the previous block.
-     * Hash collisions are therefore safe: the hash only proposes
-     * candidates, content decides. Matching is capped so the child
+     * (the child's pending prefill stream) in page-aligned blocks and
+     * maps `child` (which must hold no pages) onto every consecutive
+     * indexed pool page keyed by the page matched for the previous block
+     * (-1 for block 0) and this block's tokens. Among pages under one
+     * key the earliest registered wins. Matching is capped so the child
      * always prefills at least one token itself (the position producing
      * its first logits). Returns the matched token count (a multiple of
      * blockTokens(), 0 when nothing matched); on a match the child's
@@ -174,27 +171,17 @@ class KVCacheManager
     int64_t matchPrefix(RequestId child, const std::vector<int64_t>& tokens);
 
     /**
-     * Automatic prefix caching — the registration half: records every
+     * Automatic prefix caching — the registration half: files every
      * not-yet-registered full page-aligned block of `seq`'s committed
-     * prefix of `tokens` in the hash→page index (chained hash over the
-     * block's token content, seeded by the previous block's hash).
-     * Pages already indexed (e.g. mapped from a parent by matchPrefix)
-     * only advance the chain. Full committed pages are immutable while
-     * live — copy-on-write repoints writers, and release() drops index
-     * entries with the page — so registrations never go stale. Call
-     * after committing a prefill; no-op for unknown ids.
+     * prefix of `tokens` in the index under (predecessor page, block
+     * tokens). Pages already indexed (e.g. mapped from a parent by
+     * matchPrefix) are skipped but still count as registered. Full
+     * committed pages are immutable while live — copy-on-write repoints
+     * writers, and release() drops index entries with the page — so
+     * registrations never go stale. Call after committing a prefill;
+     * no-op for unknown ids.
      */
     void registerCommitted(RequestId seq, const std::vector<int64_t>& tokens);
-
-    /**
-     * Test hook: replaces the chained block hash function (prev hash,
-     * block tokens, count) — e.g. with a constant to force collisions,
-     * which content verification must turn into no-shares, never wrong
-     * shares. Pass nullptr to restore the default FNV-1a chain.
-     */
-    using BlockHashFn =
-        std::function<uint64_t(uint64_t, const int64_t*, int64_t)>;
-    void setBlockHashForTest(BlockHashFn fn);
 
     /** Positions reserved for `seq` (0 for unknown ids). */
     int64_t reservedTokens(RequestId seq) const;
@@ -260,8 +247,8 @@ class KVCacheManager
     int64_t prefixHits() const { return prefixHits_; }
     /** Total cache positions resolved from the index by matchPrefix(). */
     int64_t prefixTokensMatched() const { return prefixTokensMatched_; }
-    /** Live hash→page index entries (test introspection). */
-    int64_t indexedBlocks() const { return (int64_t)pageHash_.size(); }
+    /** Live prefix-index entries (test introspection). */
+    int64_t indexedBlocks() const { return (int64_t)index_.size(); }
 
   private:
     struct Sequence
@@ -270,29 +257,23 @@ class KVCacheManager
         int64_t tokens = 0;    //!< reserved capacity in positions
         int64_t committed = 0; //!< positions actually written
         int64_t matched = 0;   //!< positions mapped by matchPrefix()
-        /** Chained content hash of each registered/matched full block
-         *  (registration progress of the prefix-caching index). */
-        std::vector<uint64_t> blockHashes;
+        /** Leading full blocks registered or matched (registration
+         *  progress of the prefix-caching index). */
+        int64_t registeredBlocks = 0;
     };
-    /** One registered block: the page holding it, the page holding the
-     *  previous block of its chain (-1 for the first block), and the
-     *  block's token content for verify-on-match. */
-    struct IndexEntry
-    {
-        int64_t page = -1;
-        int64_t prevPage = -1;
-        std::vector<int64_t> tokens;
-    };
+    /** A block's prefix-index key: the page holding the previous block
+     *  of its chain (-1 for the first block) and the block's tokens. */
+    using BlockKey = std::pair<int64_t, std::vector<int64_t>>;
+    /** Equal keys keep registration order, so lower_bound() finds the
+     *  earliest registered live page. */
+    using PrefixIndex = std::multimap<BlockKey, int64_t>;
 
     /** Pops a free page (throws RuntimeError when the pool is empty). */
     int64_t acquirePage();
     /** Device-side page copy (all layers, k+v): copies pool data rows in
      *  data mode and adds the page to the burst flushCowBatch() prices. */
     void copyPage(int64_t src, int64_t dst);
-    /** Chained block hash (test hook aware). */
-    uint64_t hashBlock(uint64_t prev, const int64_t* tokens,
-                       int64_t count) const;
-    /** Drops `page`'s index entry, if any (page is leaving the pool). */
+    /** Drops `page`'s index entry, if any. */
     void unregisterPage(int64_t page);
 
     std::vector<vm::VirtualMachine*> ranks_; //!< in rank order
@@ -313,11 +294,10 @@ class KVCacheManager
     /** The resident pool allocation on each rank's device. */
     std::vector<vm::StoragePtr> poolStorages_;
     std::map<RequestId, Sequence> sequences_;
-    /** chained hash → registered blocks under it (collision candidates) */
-    std::map<uint64_t, std::vector<IndexEntry>> hashIndex_;
-    /** live registered page → its chained hash (for removal on free) */
-    std::map<int64_t, uint64_t> pageHash_;
-    BlockHashFn hashOverride_; //!< test-only collision injection
+    /** (predecessor page, block tokens) → page holding the block */
+    PrefixIndex index_;
+    /** per-page entry in index_, index_.end() when not indexed */
+    std::vector<PrefixIndex::iterator> pageEntries_;
 };
 
 } // namespace serve

@@ -274,14 +274,13 @@ class FunctionCodegen
     }
 
     /**
-     * One MatchShape over `shape`: bare variables for which `binds`
-     * holds bind their slots, every other dim becomes a check. Checks
-     * run after the binds, so they are lowered after them.
+     * One MatchShape over `shape`: a bare variable's first occurrence
+     * binds its slot, and every other dim — a variable bound before
+     * included — becomes a check. Checks run after the binds, so they
+     * are lowered after them.
      */
-    template <typename BindsVar>
     Instr
-    matchShape(RegIndex reg, const std::vector<PrimExpr>& shape,
-               BindsVar binds)
+    matchShape(RegIndex reg, const std::vector<PrimExpr>& shape)
     {
         Instr instr;
         instr.op = Instr::Op::kMatchShape;
@@ -289,7 +288,9 @@ class FunctionCodegen
         std::vector<std::pair<int, PrimExpr>> checks;
         for (size_t d = 0; d < shape.size(); ++d) {
             const PrimExpr& dim = shape[d];
-            if (dim->kind() == ExprKind::kVar && binds(dim)) {
+            if (dim->kind() == ExprKind::kVar &&
+                !slots_.count(
+                    static_cast<const ::relax::VarNode*>(dim.get()))) {
                 instr.binds.emplace_back((int)d, bindSlot(dim));
             } else {
                 checks.emplace_back((int)d, dim);
@@ -301,19 +302,14 @@ class FunctionCodegen
         return instr;
     }
 
-    /** Populates the shape table from input tensor shapes (MatchShape):
-     *  a variable's first occurrence binds it, later ones check it. */
+    /** Populates the shape table from input tensor shapes (MatchShape). */
     void
     emitInputShapeMatches()
     {
         for (const auto& param : func_->params) {
             const auto* tensor = asTensor(param->structInfo());
             if (!tensor || !tensor->shape) continue;
-            Instr instr = matchShape(
-                regOf(param.get()), *tensor->shape, [&](const PrimExpr& v) {
-                    return !slots_.count(
-                        static_cast<const ::relax::VarNode*>(v.get()));
-                });
+            Instr instr = matchShape(regOf(param.get()), *tensor->shape);
             if (!instr.binds.empty() || !instr.checks.empty()) {
                 out_.instrs.push_back(std::move(instr));
             }
@@ -479,15 +475,16 @@ class FunctionCodegen
     emitMatchCast(const Binding& binding)
     {
         // The cast value keeps its register; bare vars in the target
-        // annotation bind from the runtime shape, composite dims become
-        // runtime checks (§3.2).
+        // annotation that nothing bound yet bind from the runtime shape
+        // (§3.2: a match_cast only defines new variables), and every
+        // other dim — an already-bound variable included — becomes a
+        // runtime check.
         RegIndex reg = regOfExpr(binding.value);
         aliasTo(binding.var.get(), reg);
 
         const auto* tensor = asTensor(binding.castInfo);
         if (!tensor || !tensor->shape) return;
-        out_.instrs.push_back(matchShape(reg, *tensor->shape,
-                                         [](const PrimExpr&) { return true; }));
+        out_.instrs.push_back(matchShape(reg, *tensor->shape));
     }
 
     Function func_;

@@ -199,15 +199,15 @@ struct Frame
     /**
      * Set inside a bucketed graph region that rounded some variable up
      * to its bucket ceiling. `padded` is then the shape table with each
-     * variable bound at the region's start at its ceiling (marked in
-     * `padOverride`) and every other slot at its live value. Kernel
-     * *pricing* reads it (the captured graph launches padded kernels);
-     * data-mode compute always runs at the real shapes, which is what
-     * keeps replay bit-identical.
+     * variable bound at the region's start at its ceiling and every
+     * other slot at its live value; a MatchShape never rebinds a bound
+     * slot, so a slot is padded exactly where `padded` differs from
+     * `slots`. Kernel *pricing* reads it (the captured graph launches
+     * padded kernels); data-mode compute always runs at the real
+     * shapes, which is what keeps replay bit-identical.
      */
     bool padding = false;
     std::vector<int64_t> padded;
-    std::vector<char> padOverride;
     /**
      * Timing mode, inside a padding region: the data-bearing pricing
      * stand-ins built so far, by register. Timing mode runs no kernel, so
@@ -730,7 +730,6 @@ Executor::beginGraph(const Instr& instr, Frame& frame, const VMFunction& fn)
     // ceiling shape, launched padded/masked).
     int64_t block = std::max<int64_t>(instr.bucketBlock, 1);
     frame.padded = frame.slots;
-    frame.padOverride.assign(frame.slots.size(), 0);
     std::vector<std::pair<const std::string*, int64_t>> dims;
     dims.reserve(instr.boundSlots);
     for (int slot = 0; slot < instr.boundSlots; ++slot) {
@@ -739,7 +738,6 @@ Executor::beginGraph(const Instr& instr, Frame& frame, const VMFunction& fn)
         dims.emplace_back(&fn.slotVars[slot]->name, padded);
         if (padded != value) {
             frame.padded[slot] = padded;
-            frame.padOverride[slot] = 1;
             frame.padding = true;
         }
     }
@@ -779,11 +777,8 @@ Executor::execMatchShape(const Instr& instr, Frame& frame,
     }
     for (const auto& [dim, slot] : instr.binds) {
         frame.slots[slot] = tensor.shape()[dim];
-        // A rebinding inside a region is live, unless the region padded
-        // this variable at its start.
-        if (frame.padding && !frame.padOverride[slot]) {
-            frame.padded[slot] = tensor.shape()[dim];
-        }
+        // A variable first bound inside a region is live.
+        if (frame.padding) frame.padded[slot] = tensor.shape()[dim];
     }
     for (const auto& [dim, check] : instr.checks) {
         int64_t expected = check.eval(frame.slots.data());
@@ -1011,7 +1006,7 @@ Executor::launchGenerated(const Instr& instr, KernelSite& site, Frame& frame,
         pricedSlots_ = kernelSlots_;
         for (size_t k = 0; k < pricedSlots_.size(); ++k) {
             int f = site.functionSlots[k];
-            if (f >= 0 && frame.padOverride[f]) {
+            if (f >= 0 && frame.padded[f] != frame.slots[f]) {
                 pricedSlots_[k] = frame.padded[f];
             }
         }

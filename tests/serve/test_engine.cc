@@ -165,7 +165,7 @@ TEST(EngineTest, DuplicatePromptPrefixSharesPagesAutomatically)
 {
     // A shared-system-prompt scenario with NO hint from the caller: the
     // parent runs with a long prompt; later requests repeat its prefix
-    // and extend with their own suffixes. The KV manager's block-hash
+    // and extend with their own suffixes. The KV manager's prefix
     // index must detect the duplicates at admission and map them onto
     // the parent's committed pages. Token streams must match independent
     // solo runs exactly, and peak page usage must beat a baseline whose
@@ -186,13 +186,13 @@ TEST(EngineTest, DuplicatePromptPrefixSharesPagesAutomatically)
                                     /*data_mode=*/true, options);
         auto variant = [&](std::vector<int64_t> prompt, int64_t salt) {
             // The baseline de-duplicates content: a distinct first
-            // token per request breaks every chained block hash.
+            // token per request breaks every chain at block 0.
             if (!duplicate_prefix) prompt[0] = 10 + salt;
             return prompt;
         };
         engine->addRequest(variant(prefix, 0), max_new);
         // Parent prefills first so its prefix pages are committed (and
-        // registered in the hash index) when the children arrive.
+        // registered in the prefix index) when the children arrive.
         engine->step();
         engine->addRequest(variant(child_a, 1), max_new);
         engine->addRequest(variant(child_b, 2), max_new);
@@ -395,7 +395,7 @@ TEST(EngineTest, EvictsMostRecentlyAdmittedFirst)
 TEST(EngineTest, DuplicateOfReleasedPrefixPrefillsInFull)
 {
     // Sharing is best-effort: when the request holding a prefix has
-    // finished and released its pages, the hash index forgets them, so
+    // finished and released its pages, the prefix index forgets them, so
     // a later duplicate simply prefills in full — and still emits the
     // exact token stream.
     LlamaConfig config = LlamaConfig::tiny();

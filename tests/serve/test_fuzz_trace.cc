@@ -7,7 +7,7 @@
  * independent single-request greedy loops emit — with bucketed
  * execution-graph replay on and with it off. This pins the whole serve
  * stack (scheduler, page-pool KV manager with the automatic
- * prefix-caching hash index, eviction, and the ONE packed-varlen call
+ * prefix-caching index, eviction, and the ONE packed-varlen call
  * per step that carries prefill chunks and n=1 decode rows together) to
  * an end-to-end correctness invariant: no batching, paging, sharing,
  * preemption, or graph-replay decision may change tokens. A speculation
@@ -22,7 +22,9 @@
  * invariants ride along: decode calls == steps on every trace (mixed
  * prefill+decode steps never split into extra calls, and draft calls
  * are tallied separately), and prompt-prefix duplicates must hit the
- * hash index with no fork hint from the driver.
+ * prefix index with no fork hint from the harness. Every engine comes
+ * from Engine::build, so the oracle also covers its device group and
+ * the draft's unsharded compile.
  *
  * Each (tp, spec_k) pair runs as two TESTs, one per half of the seed
  * corpus, so ctest runs the twelve slices in parallel. Seed count
@@ -79,7 +81,7 @@ struct FuzzRequest
     int64_t arrivalStep = 0; //!< engine step at which the request is added
     int64_t dupOf = -1; //!< index of the earlier request whose prompt this
                         //!< one duplicates (content only — NO engine hint;
-                        //!< the hash index must detect it by itself)
+                        //!< the prefix index must detect it by itself)
 };
 
 struct FuzzScenario
@@ -183,35 +185,6 @@ runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
     LlamaConfig config = LlamaConfig::tiny();
     SequentialOracle oracle(config, fuzzOptions(false));
 
-    // Compile the slice's executables once, indexed by with_replay;
-    // scenarios share them. tp=2 shards the same model (ShardPass +
-    // lockstep collectives; one executable serves both shards).
-    auto compile = [&](bool with_replay, int64_t shards) {
-        frontend::CompileOptions options = fuzzOptions(with_replay);
-        if (with_replay) options.graphBucketTokens = 4; // bucketed capture
-        options.tensorParallel = shards;
-        return frontend::compile(frontend::buildLlama(config), options);
-    };
-    vm::ExecutablePtr exec[2] = {compile(false, tp), compile(true, tp)};
-    auto weights = frontend::makeLlamaWeights(config, /*with_data=*/true);
-    // Draft for the speculation axis: the same tiny architecture, never
-    // sharded (the tp=1 build — each VM replays only the graphs it
-    // captured itself). The identical-seed draft agrees with the target
-    // everywhere (all-accept) while the alternate seed mostly disagrees
-    // (reject + rollback). Identity must hold either way.
-    vm::ExecutablePtr draft_exec[2] = {exec[0], exec[1]};
-    std::vector<NDArray> draft_weights_same, draft_weights_alt;
-    if (spec_k > 0) {
-        if (tp > 1) {
-            draft_exec[0] = compile(false, 1);
-            draft_exec[1] = compile(true, 1);
-        }
-        draft_weights_same =
-            frontend::makeLlamaWeights(config, /*with_data=*/true, 7);
-        draft_weights_alt =
-            frontend::makeLlamaWeights(config, /*with_data=*/true, 11);
-    }
-
     int64_t total_replays = 0;
     int64_t total_evictions = 0;
     int64_t total_prefix_hits = 0, total_prefix_tokens = 0;
@@ -246,6 +219,9 @@ runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
         }
 
         EngineOptions engine_options;
+        // tp=2 shards the target (ShardPass + lockstep collectives; one
+        // executable serves both shards).
+        engine_options.tensorParallel = tp;
         engine_options.scheduler.policy = scenario.policy;
         // Cap per-step prefill so one packed call (prefills + decode
         // rows) stays inside the compiled n=32 bound.
@@ -254,30 +230,30 @@ runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
         engine_options.kvBudgetBytes = scenario.kvBudgetBytes;
 
         for (bool with_replay : {true, false}) {
-            // The target runs on a tp-device group (tp=2 shards it); the
-            // draft (when speculating) runs alone on device 0, and the
-            // token streams must STILL match the unsharded oracle —
+            // The target runs on a tp-device group; the draft (when
+            // speculating) is the same tiny architecture, never sharded,
+            // alone on device 0. The draft seeded like the target (7)
+            // agrees with it everywhere (all-accept) while seed 11
+            // mostly disagrees (reject + rollback). The token streams
+            // must STILL match the unsharded oracle either way —
             // sharding is invisible to scheduling and sampling.
-            auto group = std::make_shared<device::DeviceGroup>(
-                hostSpec(with_replay), (int)tp,
-                device::interconnectByName("nvlink"));
+            frontend::CompileOptions compile_options =
+                fuzzOptions(with_replay);
+            compile_options.graphBucketTokens = 4; // bucketed capture
+            EngineOptions variant_options = engine_options;
+            variant_options.speculation.draftTokens = spec_k;
+            variant_options.speculation.draftConfig = config;
+            variant_options.speculation.draftWeightSeed =
+                round % 2 == 0 ? 7 : 11;
+            auto engine = Engine::build(config, compile_options,
+                                        /*data_mode=*/true, variant_options);
+            device::DeviceGroup* group = engine->deviceGroup();
             device::SimDevice& dev = group->device(0);
             // Tracing on for every seed: the token oracle below then
             // also pins the observation-only invariant (recording may
             // not change any token), and each trace must be well
             // nested.
             dev.trace().enable();
-            EngineOptions variant_options = engine_options;
-            variant_options.speculation.draftTokens = spec_k;
-            variant_options.speculation.draftConfig = config;
-            Engine engine(exec[with_replay], group, /*data_mode=*/true,
-                          config, weights, variant_options);
-            if (spec_k > 0) {
-                engine.enableSpeculation(draft_exec[with_replay],
-                                         round % 2 == 0
-                                             ? draft_weights_same
-                                             : draft_weights_alt);
-            }
             // Mid-stream arrival driver: add each request at its
             // arrival step, stepping the engine in between so fresh
             // prefills join an already-decoding batch.
@@ -287,13 +263,13 @@ runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
                        scenario.requests[next_request].arrivalStep <= tick) {
                     const FuzzRequest& request =
                         scenario.requests[next_request];
-                    engine.addRequest(request.prompt, request.maxNew,
-                                      request.stopToken);
+                    engine->addRequest(request.prompt, request.maxNew,
+                                       request.stopToken);
                     ++next_request;
                 }
-                bool progressed = engine.step();
+                bool progressed = engine->step();
                 if (next_request == scenario.requests.size() &&
-                    !engine.hasPendingWork()) {
+                    !engine->hasPendingWork()) {
                     break;
                 }
                 ASSERT_TRUE(progressed ||
@@ -301,7 +277,7 @@ runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
                     << "stalled: seed=" << seed
                     << " replay=" << with_replay;
             }
-            auto results = engine.collect();
+            auto results = engine->collect();
             ASSERT_EQ(results.size(), scenario.requests.size())
                 << "seed=" << seed << " replay=" << with_replay;
             // collect() orders by request id == the order added above.
@@ -318,16 +294,16 @@ runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
                     << " policy=" << (int)scenario.policy;
             }
             if (with_replay) {
-                total_replays += engine.machine().graphStats().replays;
+                total_replays += engine->machine().graphStats().replays;
             } else {
                 // Graph offload disabled: capture must never engage.
-                EXPECT_EQ(engine.machine().graphStats().begins, 0);
+                EXPECT_EQ(engine->machine().graphStats().begins, 0);
             }
-            total_evictions += engine.stats().evictions;
-            total_prefix_hits += engine.kv().prefixHits();
-            total_prefix_tokens += engine.kv().prefixTokensMatched();
-            if (engine.stats().prefillBatches < engine.stats().steps &&
-                engine.stats().prefillBatches > 1) {
+            total_evictions += engine->stats().evictions;
+            total_prefix_hits += engine->kv().prefixHits();
+            total_prefix_tokens += engine->kv().prefixTokensMatched();
+            if (engine->stats().prefillBatches < engine->stats().steps &&
+                engine->stats().prefillBatches > 1) {
                 // More than one arrival wave and some pure-decode steps:
                 // this trace genuinely mixed prefills into a running
                 // batch at least once.
@@ -337,15 +313,15 @@ runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
             // even when prefill chunks and decode rows share the step —
             // the grouping loop this replaced issued up to one call per
             // distinct fresh length.
-            EXPECT_EQ(engine.stats().decodeBatches, engine.stats().steps)
+            EXPECT_EQ(engine->stats().decodeBatches, engine->stats().steps)
                 << "seed=" << seed << " replay=" << with_replay;
-            ragged_steps += engine.stats().steps;
-            ragged_decode_calls += engine.stats().decodeBatches;
+            ragged_steps += engine->stats().steps;
+            ragged_decode_calls += engine->stats().decodeBatches;
             // Every sharded packed call paid its collectives: two
             // all_reduces per layer plus the logits all_gather; an
             // unsharded call has none.
             EXPECT_EQ(group->collectiveCount(),
-                      engine.stats().steps * collectives_per_call)
+                      engine->stats().steps * collectives_per_call)
                 << "seed=" << seed << " replay=" << with_replay;
             EXPECT_EQ(group->collectiveUs() > 0.0, tp > 1)
                 << "seed=" << seed;
@@ -362,34 +338,34 @@ runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
                 unprefilled += (int64_t)done.promptTokens.size() -
                                done.stats.prefillTokens;
             }
-            const EngineStats& stats = engine.stats();
+            const EngineStats& stats = engine->stats();
             int64_t finished = (int64_t)results.size();
             EXPECT_EQ(stats.requestsFinished, finished) << "seed=" << seed;
             EXPECT_EQ(stats.tokensGenerated, emitted) << "seed=" << seed;
-            EXPECT_EQ(engine.metrics().histogram("serve.ttft_us").count(),
+            EXPECT_EQ(engine->metrics().histogram("serve.ttft_us").count(),
                       finished)
                 << "seed=" << seed << " replay=" << with_replay;
-            EXPECT_EQ(engine.metrics().histogram("serve.itl_us").count(),
+            EXPECT_EQ(engine->metrics().histogram("serve.itl_us").count(),
                       emitted - finished)
                 << "seed=" << seed << " replay=" << with_replay;
             if (stats.evictions == 0) {
-                EXPECT_EQ(engine.kv().prefixTokensMatched(), unprefilled)
+                EXPECT_EQ(engine->kv().prefixTokensMatched(), unprefilled)
                     << "seed=" << seed << " replay=" << with_replay;
             }
             if (spec_k > 0) {
                 // The truncate tally covers both pools (the draft rewinds
                 // on every rejection; the target returns surplus pages).
-                ASSERT_NE(engine.draftKv(), nullptr);
-                total_spec_proposed += engine.stats().specProposed;
-                total_spec_accepted += engine.stats().specAccepted;
-                total_draft_calls += engine.stats().draftCalls;
-                total_truncates += engine.kv().truncateCount() +
-                                   engine.draftKv()->truncateCount();
+                ASSERT_NE(engine->draftKv(), nullptr);
+                total_spec_proposed += engine->stats().specProposed;
+                total_spec_accepted += engine->stats().specAccepted;
+                total_draft_calls += engine->stats().draftCalls;
+                total_truncates += engine->kv().truncateCount() +
+                                   engine->draftKv()->truncateCount();
             } else {
                 // Speculation off must leave no trace at all.
-                EXPECT_EQ(engine.stats().specProposed, 0);
-                EXPECT_EQ(engine.stats().draftCalls, 0);
-                EXPECT_EQ(engine.kv().truncateCount(), 0);
+                EXPECT_EQ(engine->stats().specProposed, 0);
+                EXPECT_EQ(engine->stats().draftCalls, 0);
+                EXPECT_EQ(engine->kv().truncateCount(), 0);
             }
 
             // Structural trace invariant: per-lane 'X' spans nest.

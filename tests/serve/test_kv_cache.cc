@@ -385,42 +385,28 @@ TEST(KVCacheTest, DropMatchTakesBackPrefixMatchTallies)
     EXPECT_EQ(kv.usedPages(), 2);
 }
 
-TEST(KVCacheTest, HashCollisionsFallBackToNoShareViaContentVerify)
+TEST(KVCacheTest, MatchFollowsThePredecessorChain)
 {
     Fixture fx;
     KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4);
-    // Force every block onto one hash chain: the index degenerates into
-    // a single collision bucket, so content verification alone decides.
-    kv.setBlockHashForTest(
-        [](uint64_t, const int64_t*, int64_t) { return (uint64_t)42; });
-
     std::vector<int64_t> prompt_a = {1, 2, 3, 4, 5, 6, 7, 8};
     kv.reserve(1, 8, 0);
     kv.commit(1, 8);
     kv.registerCommitted(1, prompt_a);
     EXPECT_EQ(kv.indexedBlocks(), 2);
 
-    // Different tokens, same (forced) hash: the colliding candidate must
-    // be rejected, never shared — wrong shares would serve another
-    // prompt's KV values.
-    std::vector<int64_t> prompt_b = {9, 9, 9, 9, 5};
-    EXPECT_EQ(kv.matchPrefix(2, prompt_b), 0);
-    EXPECT_EQ(kv.committedTokens(2), 0);
-    EXPECT_EQ(kv.pagesOf(2), 0);
-    EXPECT_EQ(kv.prefixHits(), 0);
-
-    // Identical content still matches under the degenerate hash...
+    // Identical content matches block by block...
     std::vector<int64_t> duplicate_a = prompt_a;
     duplicate_a.push_back(1);
     EXPECT_EQ(kv.matchPrefix(3, duplicate_a), 8);
     kv.release(3);
 
-    // ...and the prev-page chain rejects a block candidate from the
-    // wrong chain even when its content matches: the probe's block 0
-    // matches seq 4's chain, its block 1 content equals seq 1's block 1
-    // ({5,6,7,8}) — but that entry's predecessor is seq 1's block-0
-    // page, not seq 4's, so accepting it would serve KV values computed
-    // under a different prefix. The match must stop after block 0.
+    // ...and a block whose tokens match under another predecessor does
+    // not: the probe's block 0 matches seq 4's chain, its block 1 tokens
+    // equal seq 1's block 1 ({5,6,7,8}) — but that page's predecessor is
+    // seq 1's block-0 page, not seq 4's, so accepting it would serve KV
+    // values computed under a different prefix. The match must stop
+    // after block 0.
     std::vector<int64_t> prompt_c = {7, 7, 7, 7, 9, 9, 9, 9};
     kv.reserve(4, 8, 0);
     kv.commit(4, 8);
@@ -429,8 +415,36 @@ TEST(KVCacheTest, HashCollisionsFallBackToNoShareViaContentVerify)
     EXPECT_EQ(kv.matchPrefix(5, probe), 4);
     kv.release(5);
 
-    kv.setBlockHashForTest(nullptr); // restore FNV chain
     kv.release(1);
+    kv.release(4);
+    EXPECT_EQ(kv.indexedBlocks(), 0);
+}
+
+TEST(KVCacheTest, EqualBlocksMatchInRegistrationOrder)
+{
+    // Two sequences admitted in one step with the same first block
+    // prefill it onto different pages, and both register it. A probe
+    // maps the earlier registration; once that page is freed, the later
+    // one must still be matchable.
+    Fixture fx;
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4);
+    std::vector<int64_t> prompt = {4, 2, 4, 2, 1};
+    prefillAndRegister(kv, 1, prompt); // pages 0, 1
+    prefillAndRegister(kv, 2, prompt); // pages 2, 3
+    EXPECT_EQ(kv.indexedBlocks(), 2);
+    int64_t first = (int64_t)kv.blockTableView({1}, 2).at(0);
+    int64_t second = (int64_t)kv.blockTableView({2}, 2).at(0);
+    ASSERT_NE(first, second);
+
+    EXPECT_EQ(kv.matchPrefix(3, prompt), 4);
+    EXPECT_EQ((int64_t)kv.blockTableView({3}, 1).at(0), first);
+    kv.release(3);
+
+    kv.release(1);
+    EXPECT_EQ(kv.indexedBlocks(), 1);
+    EXPECT_EQ(kv.matchPrefix(4, prompt), 4);
+    EXPECT_EQ((int64_t)kv.blockTableView({4}, 1).at(0), second);
+    kv.release(2);
     kv.release(4);
     EXPECT_EQ(kv.indexedBlocks(), 0);
 }
@@ -541,11 +555,6 @@ TEST(KVCacheTest, TruncateDropsStaleIndexEntriesBeforeReMatching)
 {
     Fixture fx;
     KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4);
-    // Constant hash: every block lands on one collision chain, so only
-    // the entry bookkeeping — never hash luck — decides what a probe
-    // can see.
-    kv.setBlockHashForTest(
-        [](uint64_t, const int64_t*, int64_t) { return (uint64_t)7; });
     std::vector<int64_t> prompt = {1, 2, 3, 4, 5, 6, 7, 8};
     kv.reserve(1, 8, 0);
     kv.commit(1, 8);
@@ -576,7 +585,6 @@ TEST(KVCacheTest, TruncateDropsStaleIndexEntriesBeforeReMatching)
     EXPECT_EQ(kv.indexedBlocks(), 2);
     EXPECT_EQ(kv.matchPrefix(4, probe), 8);
 
-    kv.setBlockHashForTest(nullptr);
     kv.release(1);
     kv.release(3);
     kv.release(4);

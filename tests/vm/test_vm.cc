@@ -2,9 +2,10 @@
  * @file
  * VM tests: codegen of lowered modules (rebindings share their value's
  * register), execution in data and timing modes, runtime shape and rank
- * checks, static storage caching, graph capture/replay, library dispatch
- * equivalence, the refusal of a collective outside a device group, and
- * the kernel cost cache's lifetime.
+ * checks (a match_cast checks variables bound before it), static
+ * storage caching, graph capture/replay, library dispatch equivalence,
+ * the refusal of a collective outside a device group, and the kernel
+ * cost cache's lifetime.
  */
 #include <gtest/gtest.h>
 
@@ -197,6 +198,44 @@ TEST(VMTest, RebindingsShareTheProducersRegister)
     ASSERT_EQ(result.shape(), input.shape());
     for (int64_t i = 0; i < input.numel(); ++i) {
         EXPECT_NEAR(result.at(i), std::exp(input.at(i)), 1e-6) << i;
+    }
+}
+
+TEST(VMTest, MatchCastChecksBoundVariables)
+{
+    // match_cast only defines new variables: n is already bound by x, so
+    // casting y to (n, 4) checks y's rows against n instead of silently
+    // rebinding n to them.
+    auto module = IRModule::create();
+    shape::BlockBuilder builder(module);
+    SymVar n = var("n");
+    SymVar m = var("m");
+    Var x = makeVar("x", tensorSInfo({n, intImm(4)}, DataType::f32()));
+    Var y = makeVar("y", tensorSInfo({m, intImm(4)}, DataType::f32()));
+    builder.beginDataflowBlock();
+    Var lv = builder.emitMatchCast(
+        y, tensorSInfo({n, intImm(4)}, DataType::f32()));
+    Var out = builder.emitOutput(op::exp(lv));
+    builder.endBlock();
+    module->addFunction("main", makeFunction({x, y}, builder.finish(out),
+                                             out->structInfo()));
+
+    frontend::CompileOptions options;
+    options.device = hostDevice()->spec();
+    VirtualMachine machine(frontend::compile(module, options), hostDevice(),
+                           /*data_mode=*/true);
+    NDArray two = NDArray::zeros({2, 4}, DataType::f32());
+    Value agreed = machine.invoke("main", {two, two});
+    EXPECT_EQ(std::get<NDArray>(agreed).shape()[0], 2);
+    try {
+        machine.invoke("main", {two, NDArray::zeros({3, 4}, DataType::f32())});
+        FAIL() << "expected ShapeError";
+    } catch (const ShapeError& e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("main: runtime shape check failed: dim 0 "
+                            "expected n = 2, got 3"),
+                  std::string::npos)
+            << what;
     }
 }
 
