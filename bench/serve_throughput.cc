@@ -186,11 +186,14 @@ compileOptionsFor(const device::DeviceSpec& spec, int64_t spec_k = 0)
     // static memory planning allocates worst-case activations up front,
     // so loose bounds waste real VRAM budget. The packed token count n
     // sums one step's fresh tokens: the 256-token per-step prefill cap
-    // plus up to 7 decode rows in normal steps, and up to prompt (256)
-    // + generated (32) when an over-cap re-prefill admits into an idle
-    // system. With speculation each decode row widens from 1 fresh token
-    // to a 1 + k verify window. The page pool itself needs no bound — it
-    // is a function argument, not a planned allocation.
+    // plus up to 8 decode rows of 1 fresh token each, or of a 1 + k
+    // verify window with speculation, so 256 + 8 * (1 + k) would do; the
+    // engine chunks any longer prefill (a re-prefill of prompt 256 +
+    // generated 32 after an eviction) under what the decode rows leave
+    // of n. n keeps 24 tokens of slack over that, which leaves the
+    // static plan this bench reports as it was. The page pool itself
+    // needs no bound — it is a function argument, not a planned
+    // allocation.
     options.bounds = {{"b", 8}, {"n", 288 + 8 * spec_k}};
     return options;
 }

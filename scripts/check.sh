@@ -182,3 +182,10 @@ echo "== benchmark smoke: perf/run.py --workload compile_decode"
 python3 "$repo_root/perf/run.py" --workload compile_decode --seconds 1 |
   tail -n 1
 echo "benchmark smoke passed (compile_decode correct)"
+# One pass of chat is the only run that sends prompts above the per-step
+# prefill cap through Llama3-8B's planned storages: the VM refuses a call
+# past the compiled bounds or a tensor past its storage, so a chunking
+# regression fails here (a pass takes several seconds).
+echo "== benchmark smoke: perf/run.py --workload chat"
+python3 "$repo_root/perf/run.py" --workload chat --seconds 1 | tail -n 1
+echo "benchmark smoke passed (chat correct)"

@@ -3,7 +3,7 @@
  * Graph-level substitution utilities: replace Relax variables
  * (substituteVars), collect variable uses, and collect the symbolic
  * shape variables appearing in annotations — the workhorses of fusion
- * and inlining.
+ * and inlining — plus the compiled-bound attrs of a function.
  */
 #include "ir/utils.h"
 
@@ -166,6 +166,30 @@ collectExprSymVars(const Expr& expr,
       default:
         return;
     }
+}
+
+namespace {
+
+std::string
+boundAttr(const std::string& name)
+{
+    return "bound." + name;
+}
+
+} // namespace
+
+void
+setCompiledBound(FunctionNode& func, const std::string& name, int64_t bound)
+{
+    func.attrs[boundAttr(name)] = std::to_string(bound);
+}
+
+std::optional<int64_t>
+compiledBound(const FunctionNode& func, const std::string& name)
+{
+    auto it = func.attrs.find(boundAttr(name));
+    if (it == func.attrs.end()) return std::nullopt;
+    return std::stoll(it->second);
 }
 
 } // namespace ir

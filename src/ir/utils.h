@@ -6,6 +6,7 @@
 #ifndef RELAX_IR_UTILS_H_
 #define RELAX_IR_UTILS_H_
 
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -33,6 +34,20 @@ void collectVarUses(const Expr& expr,
  */
 void collectExprSymVars(const Expr& expr,
                         std::unordered_set<const ::relax::VarNode*>* out);
+
+/**
+ * Records `bound` as the compiled upper bound of symbolic variable
+ * `name` in `func` (the "bound.<name>" attr). The static memory plan
+ * sizes storages from it, and codegen compiles it into the MatchShape
+ * that binds the variable, so a call past it is refused at entry.
+ */
+void setCompiledBound(FunctionNode& func, const std::string& name,
+                      int64_t bound);
+
+/** The compiled upper bound of `name` in `func`, or nullopt when none
+ *  was recorded. */
+std::optional<int64_t> compiledBound(const FunctionNode& func,
+                                     const std::string& name);
 
 } // namespace ir
 } // namespace relax

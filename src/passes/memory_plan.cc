@@ -16,9 +16,13 @@
  * resolve to constants, any smaller-or-equal request reuses a free
  * storage, and the whole plan becomes static — the prerequisite for
  * CUDA Graph offloading (§4.5) and for memory-constrained targets (§5.3).
+ * The plan is sound only inside those bounds, so the pass records them
+ * on the function (ir::setCompiledBound) and codegen turns each into a
+ * check at the MatchShape that binds its variable.
  */
 #include "passes/passes.h"
 
+#include <map>
 #include <queue>
 #include <unordered_map>
 
@@ -65,6 +69,7 @@ class Planner
         }
         for (const auto* v : sym_vars) {
             if (auto it = bounds.find(v->name); it != bounds.end()) {
+                compiledBounds_.emplace(v->name, it->second);
                 analyzer_.bindVarBound(
                     std::static_pointer_cast<const ::relax::VarNode>(
                         std::static_pointer_cast<
@@ -146,6 +151,11 @@ class Planner
             makeFunction(func_->params, makeSeqExpr({block}, seq->body),
                          func_->retSInfo);
         updated->attrs = func_->attrs;
+        // The plan holds only inside the bounds it was sized from, so
+        // they travel with the function as its compiled bounds.
+        for (const auto& [name, bound] : compiledBounds_) {
+            setCompiledBound(*updated, name, bound);
+        }
         updated->attrs["planned.num_storages"] =
             std::to_string(storages_.size());
         int64_t total = 0;
@@ -204,6 +214,8 @@ class Planner
 
     Function func_;
     Analyzer analyzer_;
+    /** The bounds applied to this function's symbolic variables. */
+    std::map<std::string, int64_t> compiledBounds_;
     std::vector<PlannedStorage> storages_;
     int64_t reuseHits_ = 0;
     int64_t bytesReused_ = 0;

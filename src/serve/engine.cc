@@ -2,9 +2,10 @@
  * @file
  * Engine implementation: the continuous-batching step loop — admission
  * (with automatic prefix matching against the KV manager's prefix
- * index), then ONE packed-varlen page-pool call per step in which newly
- * admitted rows prefill their fresh prompt tails and running rows decode
- * one token each, with copy-on-write and eviction under memory pressure —
+ * index), then ONE packed-varlen page-pool call per step in which
+ * decoding rows decode one token each and prefilling rows take the next
+ * chunk of their fresh prompt tails within the step's prefill budget,
+ * with copy-on-write and eviction under memory pressure —
  * plus request bookkeeping and the virtual-clock statistics (see
  * engine.h). Cache data never moves on the host: every phase addresses
  * the persistent pool through the block table (kv_cache.h says why no
@@ -14,6 +15,7 @@
 
 #include <algorithm>
 
+#include "ir/utils.h"
 #include "passes/alias_analysis.h"
 
 namespace relax {
@@ -55,6 +57,20 @@ cuFreshTensor(const std::vector<std::vector<int64_t>>& tokens)
                                DataType::i64(), std::move(cu));
 }
 
+/** `options` with the per-step prefill cap lowered to `packed_bound`,
+ *  the packed-token bound the serving function was compiled for: no step
+ *  can carry more fresh tokens than that. */
+SchedulerOptions
+withinPackedBound(SchedulerOptions options,
+                  std::optional<int64_t> packed_bound)
+{
+    if (packed_bound) {
+        options.maxPrefillTokensPerStep =
+            std::min(options.maxPrefillTokensPerStep, *packed_bound);
+    }
+    return options;
+}
+
 /** The draft KV pool is sized to the full addressable envelope — every
  *  batch slot at the draft's context ceiling plus a block of rounding
  *  slack — so draft reservations can never exhaust it (the draft must
@@ -83,7 +99,10 @@ Engine::Engine(vm::ExecutablePtr exec,
                frontend::LlamaConfig config, std::vector<NDArray> weights,
                EngineOptions options)
     : config_(std::move(config)), options_(options),
-      group_(std::move(group)), scheduler_(options.scheduler)
+      group_(std::move(group)),
+      packedTokenBound_(ir::compiledBound(
+          *exec->module->getFunction("decode_ragged"), "n")),
+      scheduler_(withinPackedBound(options.scheduler, packedTokenBound_))
 {
     RELAX_ICHECK(group_) << "engine needs a device group";
     // Memory-plan observability: the compiler's plan for decode_ragged
@@ -432,10 +451,10 @@ Engine::proposeDrafts(const std::vector<SequenceStatePtr>& rows,
     // --- catch-up: the draft pool may lag the target's committed
     // context (just-admitted rows, the bonus token of an all-accept
     // step, re-admission after eviction). Replay each row's token
-    // stream into the draft pool, chunked under the prefill-token cap
-    // so one call never exceeds the compiled packed-token bound.
-    int64_t cap = std::max<int64_t>(
-        scheduler_.options().maxPrefillTokensPerStep, 1);
+    // stream into the draft pool, chunked under the prefill budget of a
+    // call with no decode rows, so one call never exceeds the compiled
+    // packed-token bound.
+    int64_t cap = std::max<int64_t>(prefillBudget(0), 1);
     while (true) {
         std::vector<RequestId> order;
         std::vector<std::vector<int64_t>> chunks;
@@ -527,23 +546,39 @@ Engine::step()
     if (!hasPendingWork()) return false;
     double clock_before = machine().dev().clockUs();
 
-    std::vector<SequenceStatePtr> admitted =
-        scheduler_.admit(kv(), (int64_t)running_.size());
-    running_.insert(running_.end(), admitted.begin(), admitted.end());
-
     int64_t spec_budget =
         speculationEnabled() ? options_.speculation.draftTokens : 0;
+
+    // A running row decodes when only its last sampled token is pending;
+    // any other row is still prefilling its stream (prompt plus tokens
+    // generated before an eviction) and takes the step's prefill budget
+    // in admission order, ahead of the rows admitted now. Admission
+    // plans against the most the decode rows may carry: 1 + k each.
+    std::vector<SequenceStatePtr> decoding;
+    int64_t carried = 0;
+    for (const SequenceStatePtr& seq : running_) {
+        int64_t pending = seq->prefillLength() -
+                          kv().committedTokens(seq->request.id);
+        if (!seq->generated.empty() && pending == 1) {
+            decoding.push_back(seq);
+        } else {
+            carried += pending;
+        }
+    }
+    int64_t budget =
+        prefillBudget((int64_t)decoding.size() * (1 + spec_budget));
+    std::vector<SequenceStatePtr> admitted = scheduler_.admit(
+        kv(), (int64_t)running_.size(), budget - std::min(carried, budget));
+    running_.insert(running_.end(), admitted.begin(), admitted.end());
 
     // Own every decoding row's write range up front: one decode position
     // plus its speculation window. This may evict, including rows
     // admitted above — phases are re-checked when the batch is built.
-    // Admission already reserved the admitted rows' fresh prompt tails,
-    // which start at the prefix-matched offset, past every shared page.
+    // Admission already reserved the prefilling rows' whole streams,
+    // from the prefix-matched offset, past every shared page.
     // The sweep's copy-on-write copies price as one burst at the flush
     // below, so b sequences copying shared pages pay one launch, not b.
     std::map<RequestId, int64_t> spec_k;
-    std::vector<SequenceStatePtr> decoding(
-        running_.begin(), running_.end() - (std::ptrdiff_t)admitted.size());
     for (const SequenceStatePtr& seq : decoding) {
         int64_t ctx = kv().committedTokens(seq->request.id);
         int64_t k_row = 0;
@@ -582,21 +617,41 @@ Engine::step()
         if (!spec_rows.empty()) proposeDrafts(spec_rows, spec_k, plans);
     }
 
+    // The packed call's prefill budget is what the decode rows it
+    // really carries leave (the sweep may have evicted rows or narrowed
+    // windows): never below the admission plan, so every tail admitted
+    // whole still fits.
+    int64_t decode_tokens = 0;
+    for (const SequenceStatePtr& seq : decoding) {
+        if (seq->phase != RequestPhase::kRunning) continue;
+        auto plan_it = plans.find(seq->request.id);
+        decode_tokens += 1 + (plan_it == plans.end()
+                                  ? 0
+                                  : (int64_t)plan_it->second.drafts.size());
+    }
+    budget = prefillBudget(decode_tokens);
+
     // One packed-varlen call per step: prefill chunks, n=1 decode rows
     // and n=k+1 verify rows ride together — row r owns packed positions
-    // [cu[r], cu[r+1]). A verify row's fresh tokens are its pending
+    // [cu[r], cu[r+1]). A prefilling row's fresh tokens are the next
+    // chunk of its stream the budget admits (a row the budget does not
+    // reach waits for the next step); a verify row's are its pending
     // token followed by the draft proposals.
     std::vector<SequenceStatePtr> batch;
     std::vector<std::vector<int64_t>> tokens;
     std::vector<bool> is_prefill;
     for (const SequenceStatePtr& seq : running_) {
         if (seq->phase != RequestPhase::kRunning) continue;
-        bool admitted_now = std::find(admitted.begin(), admitted.end(),
-                                      seq) != admitted.end();
-        if (admitted_now) {
-            std::vector<int64_t> all = seq->prefillTokens();
+        bool prefill = std::find(decoding.begin(), decoding.end(), seq) ==
+                       decoding.end();
+        if (prefill) {
             int64_t start = kv().committedTokens(seq->request.id);
-            tokens.emplace_back(all.begin() + start, all.end());
+            int64_t take = std::min(seq->prefillLength() - start, budget);
+            if (take == 0) continue;
+            budget -= take;
+            std::vector<int64_t> all = seq->prefillTokens();
+            tokens.emplace_back(all.begin() + start,
+                                all.begin() + start + take);
         } else {
             std::vector<int64_t> fresh{seq->generated.back()};
             auto plan_it = plans.find(seq->request.id);
@@ -607,7 +662,7 @@ Engine::step()
             tokens.push_back(std::move(fresh));
         }
         batch.push_back(seq);
-        is_prefill.push_back(admitted_now);
+        is_prefill.push_back(prefill);
     }
     if (batch.empty()) return false;
 
@@ -648,13 +703,17 @@ Engine::step()
                           {{"request", id}, {"tokens", fresh}});
         }
         if (is_prefill[row]) {
-            kv().commit(id, seq->prefillLength());
+            int64_t committed = kv().committedTokens(id) + fresh;
+            kv().commit(id, committed);
             seq->stats.prefillTokens += fresh;
             stats_.prefillTokens += fresh;
             // Register the freshly committed page-aligned blocks in the
             // prefix index so later duplicate prompts match them.
             kv().registerCommitted(id, seq->prefillTokens());
-            appendToken(seq, sampleFor(logits, packed_end - 1));
+            // The first token comes after the stream's last chunk.
+            if (committed == seq->prefillLength()) {
+                appendToken(seq, sampleFor(logits, packed_end - 1));
+            }
             continue;
         }
         auto plan_it = plans.find(id);
@@ -750,6 +809,16 @@ Engine::step()
                        {"free", kv().freePages()}});
     }
     return true;
+}
+
+int64_t
+Engine::prefillBudget(int64_t decode_tokens) const
+{
+    int64_t budget = scheduler_.options().maxPrefillTokensPerStep;
+    if (packedTokenBound_) {
+        budget = std::min(budget, *packedTokenBound_ - decode_tokens);
+    }
+    return std::max<int64_t>(budget, 0);
 }
 
 const EngineStats&

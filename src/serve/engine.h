@@ -2,10 +2,19 @@
  * @file
  * Engine: the continuous-batching serving front door (addRequest / step /
  * collect) over one compiled executable and one persistent KV page pool.
- * Each step() admits waiting requests (scheduler policy + KV budget) and
- * then issues exactly ONE pool-addressed `decode_ragged` call covering
- * the whole batch — newly admitted rows contribute their fresh prompt
- * tails, already-running rows contribute one decode token each. The
+ * Each step() admits waiting requests (scheduler policy + KV budget +
+ * the step's prefill budget) and then issues exactly ONE pool-addressed
+ * `decode_ragged` call covering the whole batch — decoding rows
+ * contribute one token each, prefilling rows the next chunk of their
+ * fresh prompt tails. The prefill budget is the per-step cap, at most
+ * what the decode rows (1 + k tokens each) leave of the packed-token
+ * bound n the function was compiled for, so no call exceeds the bounds
+ * its memory plan was sized for (the VM refuses one that would): a
+ * prompt whose fresh tail is above the cap is admitted once its first
+ * chunk fits, reserves its whole prompt's pages, prefills over several
+ * steps and samples its first token after the last chunk. A row decodes
+ * when only its last sampled token is pending in the pool; any other
+ * row is prefilling, and no flag records which (docs/DESIGN.md §5). The
  * packed varlen layout makes the mix rectangular-free: token ids ride in
  * one flat [1, total_fresh] tensor, per-row extents in a cumulative
  * offsets tensor cu_fresh [b+1] (row r owns packed positions
@@ -69,6 +78,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "device/interconnect.h"
@@ -245,7 +255,8 @@ class Engine
 
     /**
      * One continuous-batching iteration: retire finished sequences,
-     * admit + prefill newcomers, decode the running batch. Returns false
+     * admit newcomers, prefill the next chunk of every prefilling row
+     * the step's budget reaches, decode the running batch. Returns false
      * (a strict no-op: no clock advance, no state change) when no
      * forward progress is possible — either nothing is waiting or
      * running, or the system is stalled (requests wait but none fit the
@@ -399,10 +410,17 @@ class Engine
     /** Samples from packed logits at packed position (a row's last fresh
      *  token sits at cu[r+1] - 1). */
     int64_t sampleFor(const NDArray& logits, int64_t position);
+    /** Fresh prompt tokens a packed call carrying `decode_tokens` decode
+     *  tokens may add: the per-step cap, and under a compiled
+     *  packed-token bound what the decode tokens leave of it. */
+    int64_t prefillBudget(int64_t decode_tokens) const;
 
     frontend::LlamaConfig config_;
     EngineOptions options_;
     std::shared_ptr<device::DeviceGroup> group_;
+    /** The packed-token bound n `decode_ragged` was compiled for, if
+     *  any: the VM refuses a call past it. */
+    std::optional<int64_t> packedTokenBound_;
     /** [0] the target; [1] the draft when build() attached one. */
     std::vector<Model> models_;
     Scheduler scheduler_;

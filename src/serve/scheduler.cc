@@ -1,7 +1,8 @@
 /**
  * @file
  * Scheduler implementation: policy-ordered admission against the KV
- * budget and batch-slot caps (see scheduler.h).
+ * budget, batch-slot caps and the step's prefill budget (see
+ * scheduler.h).
  */
 #include "serve/scheduler.h"
 
@@ -33,7 +34,8 @@ Scheduler::enqueue(SequenceStatePtr seq)
 }
 
 std::vector<SequenceStatePtr>
-Scheduler::admit(KVCacheManager& kv, int64_t runningCount)
+Scheduler::admit(KVCacheManager& kv, int64_t runningCount,
+                 int64_t prefillBudget)
 {
     std::vector<SequenceStatePtr> candidates(waiting_.begin(),
                                              waiting_.end());
@@ -47,7 +49,6 @@ Scheduler::admit(KVCacheManager& kv, int64_t runningCount)
     }
 
     std::vector<SequenceStatePtr> admitted;
-    int64_t prefill_budget = options_.maxPrefillTokensPerStep;
     for (const SequenceStatePtr& seq : candidates) {
         int64_t tokens = seq->prefillLength();
         // Automatic prefix caching: before sizing the reservation, map
@@ -61,14 +62,17 @@ Scheduler::admit(KVCacheManager& kv, int64_t runningCount)
         int64_t matched =
             kv.matchPrefix(seq->request.id, seq->prefillTokens());
         int64_t fresh = tokens - matched;
-        // A prompt above the per-step cap still admits into an idle
-        // system — the cap bounds bursts, it must not strand requests.
-        bool within_prefill_cap =
-            fresh <= prefill_budget ||
-            (admitted.empty() && runningCount == 0);
+        // A tail within the cap prefills whole in its admission step
+        // (splitting it to fill the budget is not done); one above the
+        // cap never fits a step, so it enters with a first chunk of
+        // whatever budget is left and the engine prefills the rest over
+        // later steps.
+        bool within_budget =
+            fresh > options_.maxPrefillTokensPerStep ? prefillBudget > 0
+                                                     : fresh <= prefillBudget;
         bool fits = runningCount + (int64_t)admitted.size() <
                         options_.maxBatchSize &&
-                    within_prefill_cap &&
+                    within_budget &&
                     kv.canHold(seq->request.id, tokens, matched);
         // Stop at the first misfit: admitting someone behind a blocked
         // head would starve large requests under memory pressure.
@@ -77,7 +81,7 @@ Scheduler::admit(KVCacheManager& kv, int64_t runningCount)
             break;
         }
         kv.reserve(seq->request.id, tokens, matched);
-        prefill_budget -= fresh;
+        prefillBudget -= std::min(fresh, prefillBudget);
         seq->phase = RequestPhase::kRunning;
         admitted.push_back(seq);
         waiting_.erase(std::find(waiting_.begin(), waiting_.end(), seq));

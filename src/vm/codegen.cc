@@ -4,7 +4,8 @@
  * instruction sequences. Symbolic variables referenced anywhere in a
  * function are populated by MatchShape instructions over the input
  * tensors, each into a slot of the function's shape table, numbered in
- * order of first binding. Every remaining symbolic expression is lowered
+ * order of first binding; a variable with a compiled bound is checked
+ * against it where it binds. Every remaining symbolic expression is lowered
  * to a SlotProgram over that table; a variable no MatchShape has bound
  * by then lowers to a failure, since code is straight-line. Each value
  * gets one register: a rebinding (`x = y`, `x = const`, a match_cast)
@@ -13,6 +14,7 @@
 #include "vm/exec.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <unordered_map>
 
@@ -275,9 +277,10 @@ class FunctionCodegen
 
     /**
      * One MatchShape over `shape`: a bare variable's first occurrence
-     * binds its slot, and every other dim — a variable bound before
-     * included — becomes a check. Checks run after the binds, so they
-     * are lowered after them.
+     * binds its slot, refusing a value above the variable's compiled
+     * bound, and every other dim — a variable bound before included —
+     * becomes a check. Checks run after the binds, so they are lowered
+     * after them.
      */
     Instr
     matchShape(RegIndex reg, const std::vector<PrimExpr>& shape)
@@ -291,7 +294,12 @@ class FunctionCodegen
             if (dim->kind() == ExprKind::kVar &&
                 !slots_.count(
                     static_cast<const ::relax::VarNode*>(dim.get()))) {
-                instr.binds.emplace_back((int)d, bindSlot(dim));
+                const std::string& name =
+                    static_cast<const ::relax::VarNode*>(dim.get())->name;
+                instr.binds.push_back(
+                    {(int)d, bindSlot(dim),
+                     compiledBound(*func_, name)
+                         .value_or(std::numeric_limits<int64_t>::max())});
             } else {
                 checks.emplace_back((int)d, dim);
             }
@@ -521,8 +529,12 @@ toString(const VMFunction& func)
         switch (instr.op) {
           case Instr::Op::kMatchShape:
             os << "  match_shape r" << instr.args[0];
-            for (const auto& [dim, slot] : instr.binds) {
-                os << " [" << dim << "]->" << func.slotVars[slot]->name;
+            for (const Instr::Bind& bind : instr.binds) {
+                os << " [" << bind.dim << "]->"
+                   << func.slotVars[bind.slot]->name;
+                if (bind.bound != std::numeric_limits<int64_t>::max()) {
+                    os << "<=" << bind.bound;
+                }
             }
             for (const auto& [dim, check] : instr.checks) {
                 os << " check[" << dim

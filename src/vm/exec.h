@@ -149,10 +149,18 @@ struct Instr
     RegIndex dst = -1;
     std::vector<RegIndex> args;
 
-    // kMatchShape: per entry (dim index, slot to bind) on register
-    // args[0]; `checks` holds (dim index, expression) runtime
+    /** kMatchShape: dim `dim` of register args[0] binds slot `slot`,
+     *  and must not exceed the variable's compiled bound (the bound the
+     *  static memory plan sized storages from; INT64_MAX for none). */
+    struct Bind
+    {
+        int dim;
+        int slot;
+        int64_t bound;
+    };
+    // kMatchShape: `checks` holds (dim index, expression) runtime
     // verifications, evaluated after the binds.
-    std::vector<std::pair<int, int>> binds;
+    std::vector<Bind> binds;
     std::vector<std::pair<int, SlotProgram>> checks;
 
     // kAllocStorage: shape[0] is the storage size in bytes.

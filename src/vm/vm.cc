@@ -404,10 +404,11 @@ struct Executor
     void step(const Instr& instr, Frame& frame, const VMFunction& fn);
 
     void execMatchShape(const Instr& instr, Frame& frame,
-                        const std::string& fn);
+                        const VMFunction& fn);
     void execAllocStorage(const Instr& instr, Frame& frame,
                           const std::string& fn);
-    void execAllocTensor(const Instr& instr, Frame& frame);
+    void execAllocTensor(const Instr& instr, Frame& frame,
+                         const std::string& fn);
     void execKernelCall(const Instr& instr, Frame& frame,
                         const VMFunction& fn);
     /** `ref_args` holds the alias check's argument copies, or is null. */
@@ -661,13 +662,13 @@ Executor::step(const Instr& instr, Frame& frame, const VMFunction& fn)
     TraceRecorder& trace = device_->trace();
     switch (instr.op) {
       case Instr::Op::kMatchShape:
-        execMatchShape(instr, frame, fn.name);
+        execMatchShape(instr, frame, fn);
         break;
       case Instr::Op::kAllocStorage:
         execAllocStorage(instr, frame, fn.name);
         break;
       case Instr::Op::kAllocTensor:
-        execAllocTensor(instr, frame);
+        execAllocTensor(instr, frame, fn.name);
         break;
       case Instr::Op::kKernelCall:
         execKernelCall(instr, frame, fn);
@@ -764,7 +765,7 @@ Executor::beginGraph(const Instr& instr, Frame& frame, const VMFunction& fn)
 
 void
 Executor::execMatchShape(const Instr& instr, Frame& frame,
-                               const std::string& fn)
+                         const VMFunction& fn)
 {
     const NDArray& tensor =
         asTensorValue(frame.regs[instr.args[0]], "match_shape");
@@ -772,19 +773,27 @@ Executor::execMatchShape(const Instr& instr, Frame& frame,
     size_t rank = instr.binds.size() + instr.checks.size();
     if (tensor.shape().size() != rank) {
         RELAX_THROW(ShapeError)
-            << fn << ": runtime shape check failed: expected rank " << rank
-            << ", got " << tensor.shape().size();
+            << fn.name << ": runtime shape check failed: expected rank "
+            << rank << ", got " << tensor.shape().size();
     }
-    for (const auto& [dim, slot] : instr.binds) {
-        frame.slots[slot] = tensor.shape()[dim];
+    for (const Instr::Bind& bind : instr.binds) {
+        int64_t value = tensor.shape()[bind.dim];
+        // The static plan sized every storage for values up to the
+        // bound; past it a tensor would overrun its storage.
+        if (value > bind.bound) {
+            RELAX_THROW(ShapeError)
+                << fn.name << ": " << fn.slotVars[bind.slot]->name << " = "
+                << value << " exceeds its compiled bound " << bind.bound;
+        }
+        frame.slots[bind.slot] = value;
         // A variable first bound inside a region is live.
-        if (frame.padding) frame.padded[slot] = tensor.shape()[dim];
+        if (frame.padding) frame.padded[bind.slot] = value;
     }
     for (const auto& [dim, check] : instr.checks) {
         int64_t expected = check.eval(frame.slots.data());
         if (tensor.shape()[dim] != expected) {
             RELAX_THROW(ShapeError)
-                << fn << ": runtime shape check failed: dim " << dim
+                << fn.name << ": runtime shape check failed: dim " << dim
                 << " expected " << relax::toString(check.expr()) << " = "
                 << expected << ", got " << tensor.shape()[dim];
         }
@@ -835,7 +844,8 @@ Executor::allocPooled(int64_t bytes, Frame& frame)
 }
 
 void
-Executor::execAllocTensor(const Instr& instr, Frame& frame)
+Executor::execAllocTensor(const Instr& instr, Frame& frame,
+                          const std::string& fn)
 {
     std::vector<int64_t> shape;
     shape.reserve(instr.shape.size());
@@ -844,9 +854,21 @@ Executor::execAllocTensor(const Instr& instr, Frame& frame)
     }
     NDArray tensor = dataMode_ ? NDArray::zeros(shape, instr.dtype)
                                : NDArray::metaOnly(shape, instr.dtype);
-    // A storage operand holds the tensor with no new device memory;
-    // without one (the unplanned path) the runtime pool serves it.
-    if (instr.args.empty()) allocPooled(tensor.sizeBytes(), frame);
+    if (instr.args.empty()) {
+        // The unplanned path: the runtime pool serves the tensor.
+        allocPooled(tensor.sizeBytes(), frame);
+    } else {
+        // A storage operand holds the tensor with no new device memory,
+        // so the tensor must fit it.
+        const StoragePtr& storage =
+            std::get<StoragePtr>(frame.regs[instr.args[0]]);
+        if (tensor.sizeBytes() > storage->bytes) {
+            RELAX_THROW(RuntimeError)
+                << fn << ": a tensor of " << tensor.sizeBytes()
+                << " bytes exceeds its planned storage of "
+                << storage->bytes << " bytes";
+        }
+    }
     frame.regs[instr.dst] = tensor;
 }
 

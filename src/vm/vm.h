@@ -11,7 +11,10 @@
  *    benchmark harness executes paper-scale models.
  * Symbolic shapes live in a per-call slot table that instructions read
  * through flat programs (exec.h), and each generated-kernel call site
- * re-prices only when the padded slot values its cost reads change.
+ * re-prices only when the padded slot values its cost reads change. A
+ * call that would leave its static memory plan is refused: a symbolic
+ * value past its compiled bound where it binds (ShapeError), or a tensor
+ * past its planned storage (RuntimeError).
  */
 #ifndef RELAX_VM_VM_H_
 #define RELAX_VM_VM_H_

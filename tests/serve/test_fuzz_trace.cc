@@ -1,12 +1,15 @@
 /**
  * @file
  * Randomized serving oracle: seeded fuzz over request counts, prompt
- * lengths, max-tokens, KV budgets, mid-stream arrival steps, duplicated
- * prompt prefixes, and both admission policies, asserting that the
- * continuously-batched data-mode engine emits token-for-token what N
- * independent single-request greedy loops emit — with bucketed
- * execution-graph replay on and with it off. This pins the whole serve
- * stack (scheduler, page-pool KV manager with the automatic
+ * lengths (some above the per-step prefill cap, so they prefill in
+ * chunks across steps), max-tokens, KV budgets, mid-stream arrival
+ * steps, duplicated prompt prefixes, and both admission policies,
+ * asserting that the continuously-batched data-mode engine emits
+ * token-for-token what N independent single-request greedy loops emit,
+ * and leaks no KV page — with bucketed execution-graph replay on and
+ * with it off, and under an n bound below the longest prompt, where
+ * the VM refuses any call past the compiled bounds. This pins the whole
+ * serve stack (scheduler, page-pool KV manager with the automatic
  * prefix-caching index, eviction, and the ONE packed-varlen call
  * per step that carries prefill chunks and n=1 decode rows together) to
  * an end-to-end correctness invariant: no batching, paging, sharing,
@@ -59,17 +62,25 @@ hostSpec(bool with_graphs)
     return spec;
 }
 
+/** Bound on the packed token count n of the fuzzed engines: the 24-token
+ *  per-step prefill cap plus up to 8 speculating decode rows of
+ *  1 + k <= 5 fresh tokens each (the verify window) stays under it. */
+constexpr int64_t kPackedBound = 96;
+/** A tighter n, below the longest prompt: the engine must derive a step
+ *  budget under it (at most 8 decode rows of 5 tokens fill it). */
+constexpr int64_t kTightPackedBound = 40;
+/** Per-step prefill cap of the fuzzed engines. */
+constexpr int64_t kPrefillCap = 24;
+
 frontend::CompileOptions
-fuzzOptions(bool with_graphs)
+fuzzOptions(bool with_graphs, int64_t packed_bound = kPackedBound)
 {
     frontend::CompileOptions options;
     options.device = hostSpec(with_graphs);
-    // Envelope of every fuzzed trace: prompts <= 12, generated <= 8
-    // (re-prefills cover prompt+generated <= 20), batch <= 8. The
-    // packed token count n sums one step's fresh tokens: the 24-token
-    // per-step prefill cap plus up to 8 speculating decode rows of
-    // 1 + k <= 5 fresh tokens each (the verify window) stays under 96.
-    options.bounds = {{"b", 8}, {"n", 96}, {"m", 48}};
+    // Envelope of every fuzzed trace: batch <= 8 and prompt plus
+    // generated tokens within tiny's 64-token context window, which
+    // bounds both a prefill's n and a dense decode's cache length m.
+    options.bounds = {{"b", 8}, {"n", packed_bound}, {"m", 64}};
     return options;
 }
 
@@ -152,6 +163,38 @@ drawScenario(std::mt19937& rng, const LlamaConfig& config)
         config.kvBytesPerToken() * scenario.kvBlockTokens;
     scenario.kvBudgetBytes =
         draw(blocks_needed, 2 * blocks_needed) * bytes_per_block;
+
+    // The over-cap axis, drawn after everything above so the rest of
+    // the scenario is what it always was: a third of the scenarios gain
+    // a prompt of 25..56 tokens, above the per-step prefill cap and up
+    // to past the tight n bound, so it prefills in chunks across steps
+    // while the others run; a third of those extend an earlier prompt,
+    // so a prefix match precedes the chunks. The KV budget grows to fit
+    // it.
+    if (rng() % 3 == 0) {
+        FuzzRequest request;
+        int64_t prompt_len = draw(kPrefillCap + 1, 56);
+        if (rng() % 3 == 0) {
+            request.dupOf = draw(0, num_requests - 1);
+            const FuzzRequest& twin = scenario.requests[request.dupOf];
+            request.prompt = twin.prompt;
+            request.arrivalStep = twin.arrivalStep + 1;
+        } else {
+            request.arrivalStep = draw(0, 4);
+        }
+        while ((int64_t)request.prompt.size() < prompt_len) {
+            request.prompt.push_back(draw(0, config.vocabSize - 1));
+        }
+        request.maxNew = draw(1, 8);
+        int64_t long_blocks =
+            (prompt_len + request.maxNew + scenario.kvBlockTokens - 1) /
+            scenario.kvBlockTokens;
+        if (long_blocks > blocks_needed) {
+            scenario.kvBudgetBytes =
+                draw(long_blocks, 2 * long_blocks) * bytes_per_block;
+        }
+        scenario.requests.push_back(std::move(request));
+    }
     return scenario;
 }
 
@@ -165,11 +208,19 @@ fuzzSeedCount()
     return count > 0 ? count : 40;
 }
 
+/** One engine variant every scenario is served by. */
+struct Variant
+{
+    bool replay;         //!< bucketed graph capture on
+    int64_t packedBound; //!< the compiled n bound
+};
+
 /**
  * One slice of the oracle: the (tp, spec_k) axes over half of the seed
  * corpus (`half` 0 or 1), each scenario served with bucketed replay on
- * and off. Each slice is its own TEST, so ctest runs the slices in
- * parallel, and each asserts the coverage its axes can reach.
+ * and off, and once more under the tight n bound when a prompt is above
+ * the prefill cap. Each slice is its own TEST, so ctest runs the slices
+ * in parallel, and each asserts the coverage its axes can reach.
  */
 void
 runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
@@ -193,6 +244,7 @@ runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
     int64_t total_spec_proposed = 0, total_spec_accepted = 0;
     int64_t total_truncates = 0, total_draft_calls = 0;
     int64_t total_collectives = 0;
+    int64_t chunked_requests = 0;
     const int64_t collectives_per_call =
         tp > 1 ? 2 * config.numLayers + 1 : 0;
     std::mt19937 seed_rng(0xF00D);
@@ -223,13 +275,24 @@ runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
         // executable serves both shards).
         engine_options.tensorParallel = tp;
         engine_options.scheduler.policy = scenario.policy;
-        // Cap per-step prefill so one packed call (prefills + decode
-        // rows) stays inside the compiled n=32 bound.
-        engine_options.scheduler.maxPrefillTokensPerStep = 24;
+        // A prompt whose fresh tail is above the per-step cap prefills
+        // in chunks across steps, each within what the decode rows leave
+        // of the compiled n bound.
+        engine_options.scheduler.maxPrefillTokensPerStep = kPrefillCap;
         engine_options.kvBlockTokens = scenario.kvBlockTokens;
         engine_options.kvBudgetBytes = scenario.kvBudgetBytes;
 
-        for (bool with_replay : {true, false}) {
+        // The tight n bound joins where a prompt needs chunks.
+        std::vector<Variant> variants{{true, kPackedBound},
+                                      {false, kPackedBound}};
+        for (const FuzzRequest& request : scenario.requests) {
+            if ((int64_t)request.prompt.size() > kPrefillCap) {
+                variants.push_back({true, kTightPackedBound});
+                break;
+            }
+        }
+        for (Variant variant : variants) {
+            bool with_replay = variant.replay;
             // The target runs on a tp-device group; the draft (when
             // speculating) is the same tiny architecture, never sharded,
             // alone on device 0. The draft seeded like the target (7)
@@ -238,7 +301,7 @@ runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
             // must STILL match the unsharded oracle either way —
             // sharding is invisible to scheduling and sampling.
             frontend::CompileOptions compile_options =
-                fuzzOptions(with_replay);
+                fuzzOptions(with_replay, variant.packedBound);
             compile_options.graphBucketTokens = 4; // bucketed capture
             EngineOptions variant_options = engine_options;
             variant_options.speculation.draftTokens = spec_k;
@@ -275,11 +338,19 @@ runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
                 ASSERT_TRUE(progressed ||
                             next_request < scenario.requests.size())
                     << "stalled: seed=" << seed
-                    << " replay=" << with_replay;
+                    << " replay=" << with_replay
+                    << " n=" << variant.packedBound;
             }
             auto results = engine->collect();
             ASSERT_EQ(results.size(), scenario.requests.size())
-                << "seed=" << seed << " replay=" << with_replay;
+                << "seed=" << seed << " replay=" << with_replay
+                << " n=" << variant.packedBound;
+            // Every page went back to its pool.
+            EXPECT_EQ(engine->kv().usedPages(), 0) << "seed=" << seed;
+            if (engine->draftKv()) {
+                EXPECT_EQ(engine->draftKv()->usedPages(), 0)
+                    << "seed=" << seed;
+            }
             // collect() orders by request id == the order added above.
             std::sort(results.begin(), results.end(),
                       [](const FinishedRequest& a, const FinishedRequest& b) {
@@ -288,7 +359,8 @@ runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
             for (size_t i = 0; i < results.size(); ++i) {
                 EXPECT_EQ(results[i].outputTokens, expected[i])
                     << "seed=" << seed << " request=" << i
-                    << " replay=" << with_replay << " tp=" << tp
+                    << " replay=" << with_replay
+                    << " n=" << variant.packedBound << " tp=" << tp
                     << " spec_k=" << spec_k
                     << " draft=" << (round % 2 == 0 ? "same" : "alt")
                     << " policy=" << (int)scenario.policy;
@@ -351,6 +423,12 @@ runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
             if (stats.evictions == 0) {
                 EXPECT_EQ(engine->kv().prefixTokensMatched(), unprefilled)
                     << "seed=" << seed << " replay=" << with_replay;
+                // Each prompt prefilled once, and no packed call carries
+                // more than the cap: a longer prefill took several steps.
+                for (const FinishedRequest& done : results) {
+                    chunked_requests +=
+                        done.stats.prefillTokens > kPrefillCap;
+                }
             }
             if (spec_k > 0) {
                 // The truncate tally covers both pools (the draft rewinds
@@ -389,6 +467,8 @@ runOracleSlice(int64_t tp, int64_t spec_k, int64_t half)
     EXPECT_GT(total_prefix_tokens, 0);
     EXPECT_GT(ragged_decode_calls, 0);
     EXPECT_EQ(ragged_decode_calls, ragged_steps);
+    // Prompts above the cap were served in chunks.
+    EXPECT_GT(chunked_requests, 0);
     // The tp=2 axis really ran sharded (and paid for its collectives).
     EXPECT_EQ(total_collectives > 0, tp > 1);
     // The speculation axis must have exercised both regimes: drafts were

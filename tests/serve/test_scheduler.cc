@@ -1,8 +1,10 @@
 /**
  * @file
  * Scheduler tests: FCFS vs shortest-prompt-first admission order, batch
- * and prefill-budget caps, and head-of-line blocking under memory
- * pressure. The eviction rule lives in the engine (test_engine.cc).
+ * caps, the step's prefill budget (a tail within the cap waits for room,
+ * one above it enters with a first chunk), and head-of-line blocking
+ * under memory pressure. The eviction rule and chunked prefill live in
+ * the engine (test_engine.cc).
  */
 #include <gtest/gtest.h>
 
@@ -55,7 +57,8 @@ TEST(SchedulerTest, FCFSAdmitsInArrivalOrder)
     scheduler.enqueue(Fixture::seq(1, 2));
     scheduler.enqueue(Fixture::seq(2, 4));
 
-    auto admitted = scheduler.admit(kv, /*runningCount=*/0);
+    auto admitted = scheduler.admit(kv, /*runningCount=*/0,
+                                    /*prefillBudget=*/2048);
     ASSERT_EQ(admitted.size(), 3u);
     EXPECT_EQ(admitted[0]->request.id, 0);
     EXPECT_EQ(admitted[1]->request.id, 1);
@@ -78,7 +81,7 @@ TEST(SchedulerTest, ShortestPromptFirstReorders)
     scheduler.enqueue(Fixture::seq(1, 2));
     scheduler.enqueue(Fixture::seq(2, 4));
 
-    auto admitted = scheduler.admit(kv, 0);
+    auto admitted = scheduler.admit(kv, 0, 2048);
     ASSERT_EQ(admitted.size(), 3u);
     EXPECT_EQ(admitted[0]->request.id, 1);
     EXPECT_EQ(admitted[1]->request.id, 2);
@@ -95,7 +98,7 @@ TEST(SchedulerTest, BatchSizeCapsAdmission)
     for (RequestId id = 0; id < 4; ++id) {
         scheduler.enqueue(Fixture::seq(id, 2));
     }
-    EXPECT_EQ(scheduler.admit(kv, /*runningCount=*/1).size(), 1u);
+    EXPECT_EQ(scheduler.admit(kv, /*runningCount=*/1, 2048).size(), 1u);
     EXPECT_EQ(scheduler.waitingCount(), 3u);
 }
 
@@ -106,7 +109,7 @@ TEST(SchedulerTest, MemoryPressureBlocksHeadOfLine)
     Scheduler scheduler;
     scheduler.enqueue(Fixture::seq(0, 16)); // 4 blocks: never fits
     scheduler.enqueue(Fixture::seq(1, 2));  // would fit, but stays behind
-    EXPECT_TRUE(scheduler.admit(kv, 0).empty());
+    EXPECT_TRUE(scheduler.admit(kv, 0, 2048).empty());
     EXPECT_EQ(scheduler.waitingCount(), 2u);
 }
 
@@ -116,17 +119,32 @@ TEST(SchedulerTest, PrefillBudgetDefersButNeverStrands)
     KVCacheManager kv = fx.kvWithBlocks(100);
     SchedulerOptions options;
     options.maxPrefillTokensPerStep = 8;
+    // A tail within the cap prefills whole in its admission step, so it
+    // waits for a step with room for all of it.
     Scheduler scheduler(options);
     scheduler.enqueue(Fixture::seq(0, 6));
-    scheduler.enqueue(Fixture::seq(1, 6)); // over the shared 8-token cap
-    auto first = scheduler.admit(kv, 0);
+    scheduler.enqueue(Fixture::seq(1, 6)); // over what request 0 leaves
+    auto first = scheduler.admit(kv, 0, /*prefillBudget=*/8);
     ASSERT_EQ(first.size(), 1u);
     EXPECT_EQ(first[0]->request.id, 0);
 
-    // A prompt above the whole cap still admits into an idle system.
+    // A tail above the cap fits no step whole: while other rows run it
+    // is admitted with a first chunk of whatever budget is left, its
+    // whole prompt's pages reserved, and FCFS holds behind it.
     Scheduler big(options);
     big.enqueue(Fixture::seq(2, 32));
-    EXPECT_EQ(big.admit(kv, 0).size(), 1u);
+    big.enqueue(Fixture::seq(3, 2));
+    EXPECT_TRUE(big.admit(kv, /*runningCount=*/3, /*prefillBudget=*/0)
+                    .empty());
+    auto chunked = big.admit(kv, /*runningCount=*/3, /*prefillBudget=*/5);
+    ASSERT_EQ(chunked.size(), 1u);
+    EXPECT_EQ(chunked[0]->request.id, 2);
+    EXPECT_EQ(kv.pagesOf(2), 8);
+    EXPECT_EQ(big.waitingCount(), 1u);
+    // Request 3 enters once a step leaves its whole tail free.
+    auto next = big.admit(kv, /*runningCount=*/4, /*prefillBudget=*/2);
+    ASSERT_EQ(next.size(), 1u);
+    EXPECT_EQ(next[0]->request.id, 3);
 }
 
 } // namespace

@@ -94,8 +94,8 @@ checkFunction(const Executable& exec, const VMFunction& fn, int64_t b,
     };
     int programs = 0;
     for (const Instr& instr : fn.instrs) {
-        for (const auto& [dim, slot] : instr.binds) {
-            bound = std::max(bound, (size_t)slot + 1);
+        for (const Instr::Bind& bind : instr.binds) {
+            bound = std::max(bound, (size_t)bind.slot + 1);
         }
         for (size_t s = 0; s < bound; ++s) {
             binding[fn.slotVars[s].get()] = slots[s];

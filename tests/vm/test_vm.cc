@@ -2,10 +2,11 @@
  * @file
  * VM tests: codegen of lowered modules (rebindings share their value's
  * register), execution in data and timing modes, runtime shape and rank
- * checks (a match_cast checks variables bound before it), static
- * storage caching, graph capture/replay, library dispatch equivalence,
- * the refusal of a collective outside a device group, and the kernel
- * cost cache's lifetime.
+ * checks (a match_cast checks variables bound before it), the refusal
+ * of a call past its compiled bounds or of a tensor past its planned
+ * storage, static storage caching, graph capture/replay, library
+ * dispatch equivalence, the refusal of a collective outside a device
+ * group, and the kernel cost cache's lifetime.
  */
 #include <gtest/gtest.h>
 
@@ -271,6 +272,65 @@ TEST(VMTest, StaticPlanAllocatesOnceAcrossCalls)
     NDArray y = NDArray::zeros({64, 4}, DataType::f32());
     machine.invoke("main", {y});
     EXPECT_EQ(machine.lastRunStats().bytesAllocated, 0);
+}
+
+TEST(VMTest, CallPastCompiledBoundThrows)
+{
+    // The plan sized every storage for n <= 64, so a call binding n = 65
+    // is refused where n binds, before any storage is used.
+    frontend::CompileOptions options;
+    options.device = hostDevice()->spec();
+    options.bounds = {{"n", 64}};
+    VirtualMachine machine(frontend::compile(buildChain(), options),
+                           hostDevice(), /*data_mode=*/true);
+    machine.invoke("main", {NDArray::zeros({64, 4}, DataType::f32())});
+    try {
+        machine.invoke("main", {NDArray::zeros({65, 4}, DataType::f32())});
+        FAIL() << "expected ShapeError";
+    } catch (const ShapeError& e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("main: n = 65 exceeds its compiled bound 64"),
+                  std::string::npos)
+            << what;
+    }
+}
+
+TEST(VMTest, TensorPastItsPlannedStorageThrows)
+{
+    // A lowered function that instantiates an (n, 4) f32 tensor in a
+    // 64-byte storage, with no bound on n: four rows fit, and five would
+    // overrun the storage, which the VM refuses.
+    auto module = IRModule::create();
+    SymVar n = var("n");
+    StructInfo sinfo = tensorSInfo({n, intImm(4)}, DataType::f32());
+    Var x = makeVar("x", sinfo);
+    Call alloc = makeCall(getOp("relax.memory.alloc_storage"),
+                          {makePrimValue(intImm(64))});
+    alloc->setStructInfo(objectSInfo());
+    Var storage = makeVar("storage0", objectSInfo());
+    Call tensor = makeCall(getOp("relax.memory.alloc_tensor"), {storage}, {},
+                           {sinfo});
+    tensor->setStructInfo(sinfo);
+    Var out = makeVar("out", sinfo);
+    auto block = std::make_shared<BindingBlockNode>(false);
+    block->bindings.push_back({storage, alloc, false, nullptr});
+    block->bindings.push_back({out, tensor, false, nullptr});
+    module->addFunction("main",
+                        makeFunction({x}, makeSeqExpr({block}, out), sinfo));
+
+    VirtualMachine machine(buildExecutable(module), hostDevice(),
+                           /*data_mode=*/true);
+    machine.invoke("main", {NDArray::zeros({4, 4}, DataType::f32())});
+    try {
+        machine.invoke("main", {NDArray::zeros({5, 4}, DataType::f32())});
+        FAIL() << "expected RuntimeError";
+    } catch (const RuntimeError& e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("main: a tensor of 80 bytes exceeds its planned "
+                            "storage of 64 bytes"),
+                  std::string::npos)
+            << what;
+    }
 }
 
 TEST(VMTest, RuntimePoolRecyclesExactSizes)
