@@ -291,14 +291,14 @@ class FunctionCodegen
         std::vector<std::pair<int, PrimExpr>> checks;
         for (size_t d = 0; d < shape.size(); ++d) {
             const PrimExpr& dim = shape[d];
-            if (dim->kind() == ExprKind::kVar &&
-                !slots_.count(
-                    static_cast<const ::relax::VarNode*>(dim.get()))) {
-                const std::string& name =
-                    static_cast<const ::relax::VarNode*>(dim.get())->name;
+            const auto* var =
+                dim->kind() == ExprKind::kVar
+                    ? static_cast<const ::relax::VarNode*>(dim.get())
+                    : nullptr;
+            if (var && !slots_.count(var)) {
                 instr.binds.push_back(
                     {(int)d, bindSlot(dim),
-                     compiledBound(*func_, name)
+                     compiledBound(*func_, var->name)
                          .value_or(std::numeric_limits<int64_t>::max())});
             } else {
                 checks.emplace_back((int)d, dim);
